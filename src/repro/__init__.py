@@ -79,7 +79,6 @@ from repro.errors import (
     InvalidSpecError,
     LockOrderError,
     MaintenanceError,
-    ReproDeprecationWarning,
     ReproError,
     SamplingExhaustedError,
     ServiceOverloadedError,
@@ -122,7 +121,6 @@ __all__ = [
     "ArtifactCorruptError",
     "ArtifactVersionError",
     "ArtifactMismatchError",
-    "ReproDeprecationWarning",
     # prepared-state artifacts
     "ARTIFACT_FORMAT_VERSION",
     "ArtifactSpec",

@@ -44,7 +44,6 @@ import json
 import os
 import threading
 import time
-import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -66,7 +65,6 @@ from repro.errors import (
     ArtifactMismatchError,
     InvalidSpecError,
     MaintenanceError,
-    ReproDeprecationWarning,
     SessionClosedError,
     StaleInputError,
     UnknownKeyError,
@@ -214,20 +212,6 @@ class SamplingSession:
         max_jobs: int | None = None,
         artifact_dir: str | os.PathLike[str] | None = None,
     ) -> None:
-        if owner is None and os.environ.get("REPRO_WARN_DIRECT_SESSION"):
-            # The documented migration pathway: direct construction keeps
-            # working, but services moving to the multi-tenant manager can
-            # set REPRO_WARN_DIRECT_SESSION=1 to surface every call site
-            # that bypasses SessionManager.open() / repro.open_session().
-            warnings.warn(
-                "direct SamplingSession construction is deprecated for "
-                "services; open sessions through "
-                "repro.manager.SessionManager.open() (multi-tenant) or "
-                "repro.open_session() (single-tenant) so lifecycle, memory "
-                "budget and the worker pool have one owner",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
         self._r_points = r_points
         self._s_points = s_points
         self._pool = pool
@@ -370,16 +354,19 @@ class SamplingSession:
         in-place mutation would silently serve draws from a stale join.  The
         cheap strided spot check runs on every request; ``full=True`` (cold
         entry builds, :meth:`update`) compares the exhaustive fingerprint.
+
+        The point sets and their fingerprints are read together under the
+        session lock: :meth:`update` swaps in the new points and refreshes
+        the fingerprints inside one critical section, so a request racing an
+        update sees either the old pair or the new one, never a mix.
         """
+        with self._lock:
+            r_points, s_points = self._r_points, self._s_points
+            expected = self._fingerprints["full" if full else "spot"]
         if full:
-            current = (self._r_points.fingerprint(), self._s_points.fingerprint())
-            expected = self._fingerprints["full"]
+            current = (r_points.fingerprint(), s_points.fingerprint())
         else:
-            current = (
-                self._r_points.spot_fingerprint(),
-                self._s_points.spot_fingerprint(),
-            )
-            expected = self._fingerprints["spot"]
+            current = (r_points.spot_fingerprint(), s_points.spot_fingerprint())
         if current != expected:
             raise StaleInputError(
                 "the session's input point sets were mutated in place; the "

@@ -6,8 +6,10 @@
 * :mod:`~repro.bench.harness` - one ``run_*`` function per table / figure,
   each returning plain row dictionaries.
 * :mod:`~repro.bench.reporting` - fixed-width and markdown table formatting.
-* :mod:`~repro.bench.runner` - run every experiment and write a results
-  report next to ``EXPERIMENTS.md``.
+* :mod:`~repro.bench.runner` - the ``EXPERIMENTS`` registry: run one or
+  every experiment and write a markdown results report.
+* :mod:`~repro.bench.ci_gate` - the CI perf gate: sections of pinned
+  experiment runs compared against ``benchmarks/baseline_ci.json``.
 """
 
 from repro.bench.harness import (

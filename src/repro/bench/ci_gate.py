@@ -1,65 +1,43 @@
 """CI performance gate: a quick bench smoke with regression thresholds.
 
-Run as ``python -m repro.bench.ci_gate``.  The gate
+Run as ``python -m repro.bench.ci_gate``.  Each gate section is one row of
+:data:`SECTIONS`: it runs a registered experiment
+(:data:`repro.bench.runner.EXPERIMENTS`) with pinned arguments, reduces the
+rows of its repeats into metrics, writes them to ``BENCH_ci.json`` and
+compares them with the committed ``benchmarks/baseline_ci.json``:
 
-1. runs the Table IV sampling smoke (small proxies, fixed seeds) through the
-   :mod:`repro.bench.runner` registry, best-of-``repeats`` per row,
-2. runs the ``session_reuse`` smoke: N successive ``draw()`` requests on one
-   :class:`~repro.api.session.SamplingSession` versus N one-shot ``sample()``
-   calls (structure reuse must actually pay),
-3. with ``--parallel`` (the CI workflow passes it on multi-core runners),
-   runs the ``parallel_speedup`` experiment - the shard-parallel engine at
-   ``jobs=4`` on n = m = 100,000 versus the serial one-shot path - and
-   requires both the committed end-to-end speedup floor *and* bit-identical
-   per-shard weight totals,
-4. with ``--dynamic``, runs the ``update_throughput`` experiment - rounds of
-   incremental insert/delete maintenance through the dynamic-update engine
-   versus one full rebuild per round - and requires both the committed
-   speedup floor *and* a bit-identical maintained state versus a fresh
-   build over the final ``(R, S)``,
-5. with ``--manager``, runs the ``manager_multitenancy`` experiment - 8
-   tenants of mixed draw/update traffic through one
-   :class:`~repro.manager.SessionManager` under a memory budget of ~50% of
-   their total prepared bytes - and requires the committed *boolean* floors:
-   the budget was never exceeded between operations, every post-eviction
-   draw was bit-identical to a never-evicted twin session, and evictions
-   actually happened (so the other floors were earned),
-6. with ``--service``, runs the ``service`` load experiment - 1,000+
-   concurrent keep-alive HTTP clients of pinned-seed draw requests against
-   an in-process :class:`~repro.service.ServiceServer` - and requires the
-   committed floors: every wire reply bit-identical to an unmanaged twin
-   session (``coalescing_bit_identity``), a minimum coalescing ratio (the
-   coalescer must actually merge concurrent requests), and zero failed
-   requests,
-7. with ``--kernels``, runs the ``kernels`` experiment - the compiled numba
-   backend versus its bit-identical numpy twin at n = m = 1,000,000, same
-   seeds - and requires the committed sampling-phase speedup floor (>= 3x),
-   bit-identical draws, and a peak-RSS ceiling; when numba is not installed
-   the section is an explicit SKIP (with the reason recorded), never a
-   silent pass,
-8. with ``--warmstart``, runs the ``warmstart`` experiment - attaching a
-   saved prepared-state artifact (:mod:`repro.artifacts`) versus running
-   the build/count pipeline from raw points at n = m = 1,000,000 - and
-   requires both the committed attach-speedup floor (>= 10x) *and*
-   bit-identical draws from the warm session,
-9. writes the measurements to ``BENCH_ci.json`` (including per-section
-   PASS/SKIP/FAIL statuses and skip reasons under ``sections``), and
-10. compares against the committed ``benchmarks/baseline_ci.json``: any
-   ``(dataset, algorithm)`` sampling-phase row slower than ``factor``
-   (default 2) times its baseline fails, and any session-reuse, parallel,
-   dynamic, manager, service, kernels or warm-start measurement below its
-   baseline *minimum* (or above its memory *ceiling*) fails.
+* ``sampling`` - the Table IV sampling phase of every ``(dataset,
+  algorithm)`` on the two smallest proxies, fastest of ``--repeats``, must
+  stay within ``--factor`` (default 2) times its baseline;
+* ``session_reuse`` - N ``draw()`` requests on one
+  :class:`~repro.api.session.SamplingSession` versus N one-shot ``sample()``
+  calls must keep the committed minimum speedup (structure reuse must pay);
+* ``parallel`` (``--parallel``, multi-core machines only) - the
+  shard-parallel engine at ``jobs=4`` on n = m = 100,000 versus the serial
+  path, with bit-identical per-shard weight totals;
+* ``dynamic`` (``--dynamic``) - incremental insert/delete maintenance versus
+  one full rebuild per round, with a maintained state bit-identical to a
+  fresh build;
+* ``manager`` (``--manager``) - 8 tenants under a ~50% memory budget: the
+  budget is never exceeded, every post-eviction draw is bit-identical to a
+  never-evicted twin, and evictions actually happened (exact 0/1 floors);
+* ``service`` (``--service``, multi-core machines only) - 1,000 concurrent
+  keep-alive HTTP clients: every reply bit-identical to an unmanaged twin,
+  no failed request, and a minimum coalescing ratio;
+* ``kernels`` (``--kernels``, numba machines only) - the compiled backend
+  versus its numpy twin at n = m = 1,000,000: a >= 3x sampling-phase floor,
+  bit-identical draws and a peak-RSS *ceiling*;
+* ``warmstart`` (``--warmstart``) - attaching a saved artifact versus the
+  cold build/count pipeline at n = m = 1,000,000: a >= 10x floor and
+  bit-identical warm draws.
 
-Every section's outcome is printed as an explicit ``section <name>:
-PASS|SKIP|FAIL`` line - a skipped section is never conflated with a passing
-one.
-
-The committed baseline holds *generous* values (local measurements rounded
-up / down) so that ordinary CI-runner jitter passes while a reintroduced
-per-draw Python loop - a 5-15x sampling-phase slowdown - or a session that
-silently rebuilds its structures per request reliably fails.  Refresh it
-with ``python -m repro.bench.ci_gate --write-baseline`` after intentional
-performance changes.
+Speedups whose correctness boolean fails are recorded as 0.0, so a wrong
+distribution can never pass a floor.  Every section's outcome is printed as
+an explicit ``section <name>: PASS|SKIP|FAIL`` line - a skipped section is
+never conflated with a passing one.  The committed baseline holds *generous*
+values; refresh it with ``python -m repro.bench.ci_gate --write-baseline``
+after intentional performance changes (each metric's slack rule turns the
+measurement into its committed floor).
 """
 
 from __future__ import annotations
@@ -68,442 +46,466 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from repro.bench.runner import EXPERIMENTS
 from repro.bench.workloads import ExperimentScale
 
 __all__ = [
+    "DEFAULT_FACTOR",
+    "Metric",
+    "Section",
+    "SECTIONS",
+    "collect_section",
     "collect_measurements",
-    "collect_parallel_measurements",
-    "collect_dynamic_measurements",
-    "collect_manager_measurements",
-    "collect_service_measurements",
-    "collect_kernel_measurements",
-    "collect_warmstart_measurements",
     "compare_to_baseline",
     "summarize_sections",
     "as_baseline",
     "main",
 ]
 
-#: Datasets exercised by the smoke (the two smallest proxies).
-GATE_DATASETS = ("castreet", "foursquare")
-
-#: Samples drawn per run.
-GATE_SAMPLES = 2_000
-
-#: Requests per session in the session-reuse smoke.
-GATE_SESSION_REQUESTS = 6
-
-#: Samples per session request (small, so the amortised phases dominate).
-GATE_SESSION_SAMPLES = 500
-
 #: Default allowed slowdown versus the committed baseline.
 DEFAULT_FACTOR = 2.0
 
-#: Parallel-gate workload: jobs=4 over n = m = 100,000 uniform points (the
-#: configuration whose floor is committed in the baseline).
-GATE_PARALLEL_JOBS = 4
-GATE_PARALLEL_POINTS = 200_000
-GATE_PARALLEL_SAMPLES = 10_000
-
-#: The parallel measurement is only meaningful with real parallelism.
-GATE_PARALLEL_MIN_CPUS = 2
-
-#: Dynamic-gate workload: rounds of +/- ``GATE_DYNAMIC_BATCH`` point updates
-#: on n = m = 20,000 uniform points, incremental maintenance vs one full
-#: rebuild per round (the configuration whose floor is committed).
-GATE_DYNAMIC_ROUNDS = 5
-GATE_DYNAMIC_BATCH = 500
-GATE_DYNAMIC_POINTS = 40_000
-GATE_DYNAMIC_SAMPLES = 2_000
-
-#: Manager-gate workload: 8 tenants x mixed draw/update traffic under a
-#: memory budget of ~50% of their total prepared bytes (the configuration
-#: whose boolean floors are committed).
-GATE_MANAGER_TENANTS = 8
-GATE_MANAGER_ROUNDS = 3
-GATE_MANAGER_SAMPLES = 500
-
-#: Service-gate workload: concurrent keep-alive HTTP clients of pinned-seed
-#: draw requests against an in-process service (the configuration whose
-#: floors are committed).  Like --parallel, the measurement is only
-#: meaningful with real concurrency headroom, so it self-skips below the
-#: CPU minimum.
-GATE_SERVICE_CONNECTIONS = 1_000
-GATE_SERVICE_REQUESTS_PER_CONNECTION = 2
-GATE_SERVICE_SAMPLES = 8
-GATE_SERVICE_MIN_CPUS = 2
-
-#: Kernel-gate workload: the compiled numba backend vs its numpy twin at
-#: n = m = 1,000,000, same seeds (the configuration whose >= 3x floor and
-#: peak-RSS ceiling are committed).  Requires numba; self-skips otherwise.
-GATE_KERNEL_SIZE = 1_000_000
-GATE_KERNEL_SAMPLES = 100_000
-
-#: Warm-start-gate workload: attach a saved prepared-state artifact vs the
-#: cold build/count pipeline at n = m = 1,000,000 uniform points (the total
-#: point budget below is split evenly into R and S; the >= 10x floor and
-#: the bit-identity boolean are committed in the baseline).
-GATE_WARMSTART_POINTS = 2_000_000
-GATE_WARMSTART_SAMPLES = 10_000
-
-#: The eight gate sections, in report order.
-GATE_SECTIONS = (
-    "sampling",
-    "session_reuse",
-    "parallel",
-    "dynamic",
-    "manager",
-    "service",
-    "kernels",
-    "warmstart",
-)
-
-#: Maps a section name to (its key in the measurement payload, the prefix
-#: its failure messages start with).  ``sampling`` failures have no prefix,
-#: so they are matched as "everything no other section claimed".
-_SECTION_KEYS = {
-    "sampling": "sampling_seconds",
-    "session_reuse": "session_speedup",
-    "parallel": "parallel_speedup",
-    "dynamic": "dynamic_speedup",
-    "manager": "manager",
-    "service": "service",
-    "kernels": "kernels",
-    "warmstart": "warm_start",
-}
-_SECTION_PREFIXES = {
-    "session_reuse": "session_reuse ",
-    "parallel": "parallel_speedup ",
-    "dynamic": "dynamic_speedup ",
-    "manager": "manager ",
-    "service": "service ",
-    "kernels": "kernels ",
-    "warmstart": "warm_start ",
-}
-
 DEFAULT_BASELINE = Path("benchmarks") / "baseline_ci.json"
 DEFAULT_OUTPUT = Path("BENCH_ci.json")
+
+#: How a measurement is held against its committed value.
+FLOORS: dict[str, Callable[[float, float, float], bool]] = {
+    "minimum": lambda measured, committed, factor: measured < committed,
+    "ceiling": lambda measured, committed, factor: measured > committed,
+    "factor": lambda measured, committed, factor: measured > factor * committed,
+}
+
+
+def _verbatim(value: float) -> float:
+    return value
+
+
+def _scaled(divisor: float, floor: float) -> Callable[[float], float]:
+    """Slack rule: the measurement divided by ``divisor``, never below ``floor``."""
+    return lambda value: round(max(floor, value / divisor), 3)
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One gated quantity of a section.
+
+    ``name`` is the metric's key in the section payload; ``""`` means the
+    payload itself is the metric's map.  A ``per_row`` metric is a map keyed
+    by ``dataset/algorithm``, each key reduced over repeats; a scalar metric
+    is reduced over every row of every repeat.  ``message`` is formatted
+    with ``measured``, ``required`` and ``factor`` when the floor fails.
+    """
+
+    name: str
+    value: Callable[[dict], float]
+    reduce: Callable[[Iterable[float]], float]
+    floor: str
+    message: str
+    per_row: bool = False
+    slack: Callable[[float], float] = _verbatim
+    shown: str = "{:g}"
+    digits: int = 3
+
+
+@dataclass(frozen=True)
+class Section:
+    """One gate section: which experiment it runs and how its metrics gate.
+
+    Sections with ``opt_in`` run only under ``--<name>``; ``skip`` names why
+    a requested section cannot run on this machine (``None`` when it can).
+    ``repeats=None`` follows the ``--repeats`` option.  ``meta`` adds entries
+    to the payload's ``meta`` when the section ran.
+    """
+
+    name: str
+    key: str
+    label: str
+    experiment: str
+    kwargs: dict[str, Any]
+    metrics: tuple[Metric, ...]
+    repeats: int | None = None
+    opt_in: bool = False
+    help: str = ""
+    skip: Callable[[], str | None] = lambda: None
+    meta: Callable[[], dict[str, Any]] = dict
 
 
 def _row_key(row: dict) -> str:
     return f"{row['dataset']}/{row['algorithm']}"
 
 
-def collect_measurements(repeats: int = 3) -> dict:
-    """Best-of-``repeats`` gate measurements.
-
-    ``sampling_seconds`` holds the Table IV sampling-phase seconds per
-    ``(dataset, algorithm)`` (lower is better, fastest repeat kept);
-    ``session_speedup`` holds the session-reuse speedup over the one-shot
-    path (higher is better, best repeat kept).
-    """
-    _title, table4 = EXPERIMENTS["table4"]
-    _title, session = EXPERIMENTS["session"]
-    best: dict[str, float] = {}
-    best_speedup: dict[str, float] = {}
-    for _ in range(max(1, repeats)):
-        # num_samples is pinned so the gate workload cannot drift away from
-        # the committed baseline when the SMOKE sample budget is retuned.
-        rows = table4(
-            scale=ExperimentScale.SMOKE,
-            datasets=GATE_DATASETS,
-            num_samples=GATE_SAMPLES,
-        )
-        for row in rows:
-            key = _row_key(row)
-            seconds = float(row["sampling_seconds"])
-            if key not in best or seconds < best[key]:
-                best[key] = seconds
-        rows = session(
-            scale=ExperimentScale.SMOKE,
-            datasets=GATE_DATASETS,
-            num_samples=GATE_SESSION_SAMPLES,
-            requests=GATE_SESSION_REQUESTS,
-        )
-        for row in rows:
-            key = _row_key(row)
-            speedup = float(row["speedup"])
-            if key not in best_speedup or speedup > best_speedup[key]:
-                best_speedup[key] = speedup
-    from repro.kernels import runtime_meta
-
-    return {
-        "meta": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpus": os.cpu_count(),
-            "datasets": list(GATE_DATASETS),
-            "samples": GATE_SAMPLES,
-            "session_requests": GATE_SESSION_REQUESTS,
-            "session_samples": GATE_SESSION_SAMPLES,
-            "repeats": repeats,
-            "runtime": runtime_meta(),
-        },
-        "sampling_seconds": {key: round(value, 5) for key, value in sorted(best.items())},
-        "session_speedup": {
-            key: round(value, 3) for key, value in sorted(best_speedup.items())
-        },
-    }
+def _column(name: str) -> Callable[[dict], float]:
+    return lambda row: float(row[name])
 
 
-def collect_parallel_measurements(repeats: int = 2) -> dict:
-    """Best-of-``repeats`` shard-parallel end-to-end speedups at the gate config.
-
-    Every row must report bit-identical per-shard weight totals
-    (``totals_match``); a mismatching row is recorded as speedup 0.0 so the
-    floor comparison fails loudly rather than rewarding a wrong distribution.
-    """
-    _title, parallel = EXPERIMENTS["parallel"]
-    best: dict[str, float] = {}
-    for _ in range(max(1, repeats)):
-        rows = parallel(
-            scale=ExperimentScale.SMOKE,
-            jobs=GATE_PARALLEL_JOBS,
-            total_points=GATE_PARALLEL_POINTS,
-            num_samples=GATE_PARALLEL_SAMPLES,
-        )
-        for row in rows:
-            key = _row_key(row)
-            speedup = float(row["speedup"]) if row["totals_match"] else 0.0
-            if key not in best or speedup > best[key]:
-                best[key] = speedup
-    return {key: round(value, 3) for key, value in sorted(best.items())}
+def _speedup_if(check: str) -> Callable[[dict], float]:
+    """The row's speedup, or 0.0 when its correctness boolean ``check`` fails."""
+    return lambda row: float(row["speedup"]) if row[check] else 0.0
 
 
-def collect_dynamic_measurements(repeats: int = 2) -> dict:
-    """Best-of-``repeats`` incremental-update speedups over full rebuild.
-
-    Every row must report a bit-identical maintained state versus a fresh
-    build over the final ``(R, S)`` (``state_match``); a mismatching row is
-    recorded as speedup 0.0 so the floor comparison fails loudly rather than
-    rewarding a drifted distribution.
-    """
-    _title, dynamic = EXPERIMENTS["dynamic"]
-    best: dict[str, float] = {}
-    for _ in range(max(1, repeats)):
-        rows = dynamic(
-            scale=ExperimentScale.SMOKE,
-            rounds=GATE_DYNAMIC_ROUNDS,
-            batch=GATE_DYNAMIC_BATCH,
-            total_points=GATE_DYNAMIC_POINTS,
-            num_samples=GATE_DYNAMIC_SAMPLES,
-        )
-        for row in rows:
-            key = _row_key(row)
-            speedup = float(row["speedup"]) if row["state_match"] else 0.0
-            if key not in best or speedup > best[key]:
-                best[key] = speedup
-    return {key: round(value, 3) for key, value in sorted(best.items())}
+def _boolean(check: str) -> Callable[[dict], float]:
+    return lambda row: 1.0 if row[check] else 0.0
 
 
-def collect_manager_measurements(repeats: int = 1) -> dict:
-    """Boolean manager-gate floors at the committed multi-tenant config.
-
-    The ``manager`` experiment serves ``GATE_MANAGER_TENANTS`` tenants of
-    mixed draw/update traffic through one manager under a ~50% memory budget
-    and reports three 0.0/1.0 correctness metrics: ``budget_adherence`` (the
-    tracked bytes never exceeded the budget between operations),
-    ``eviction_bit_identity`` (every managed draw matched a never-evicted
-    twin session bit-for-bit, including draws served by transparent
-    re-prepare after eviction) and ``eviction_exercised`` (evictions actually
-    happened, so the other two floors were earned under pressure).  Repeats
-    keep the *minimum* per metric - a single failing run fails the gate.
-    """
-    _title, manager = EXPERIMENTS["manager"]
-    worst: dict[str, float] = {}
-    for _ in range(max(1, repeats)):
-        rows = manager(
-            scale=ExperimentScale.SMOKE,
-            tenants=GATE_MANAGER_TENANTS,
-            rounds=GATE_MANAGER_ROUNDS,
-            num_samples=GATE_MANAGER_SAMPLES,
-        )
-        for row in rows:
-            for metric in (
-                "budget_adherence",
-                "eviction_bit_identity",
-                "eviction_exercised",
-            ):
-                value = float(row[metric])
-                if metric not in worst or value < worst[metric]:
-                    worst[metric] = value
-    return {key: round(value, 3) for key, value in sorted(worst.items())}
+def _success(row: dict) -> float:
+    total = row["requests_total"]
+    return float(row["requests_ok"]) / float(total) if total else 0.0
 
 
-def collect_service_measurements(repeats: int = 1) -> dict:
-    """Service-gate floors at the committed load configuration.
-
-    The ``service`` experiment drives ``GATE_SERVICE_CONNECTIONS`` concurrent
-    keep-alive HTTP clients of pinned-seed draw requests against an
-    in-process service and reports ``coalescing_bit_identity`` (every wire
-    reply replayed bit-for-bit on an unmanaged twin session; exact 0/1),
-    ``coalescing_ratio`` (draw requests per executed batch; the coalescer
-    must actually merge concurrent load) and ``request_success`` (the
-    fraction of requests answered 200; admission headroom is sized so the
-    gate load must not be shed).  Repeats keep the *worst* bit-identity /
-    success and the *best* ratio, so a single correctness failure fails the
-    gate while throughput jitter does not.
-    """
-    _title, service = EXPERIMENTS["service"]
-    floors: dict[str, float] = {}
-    for _ in range(max(1, repeats)):
-        rows = service(
-            scale=ExperimentScale.SMOKE,
-            connections=GATE_SERVICE_CONNECTIONS,
-            requests_per_connection=GATE_SERVICE_REQUESTS_PER_CONNECTION,
-            num_samples=GATE_SERVICE_SAMPLES,
-        )
-        for row in rows:
-            identity = float(row["coalescing_bit_identity"])
-            success = (
-                float(row["requests_ok"]) / float(row["requests_total"])
-                if row["requests_total"]
-                else 0.0
-            )
-            ratio = float(row["coalescing_ratio"])
-            floors["coalescing_bit_identity"] = min(
-                floors.get("coalescing_bit_identity", 1.0), identity
-            )
-            floors["request_success"] = min(
-                floors.get("request_success", 1.0), success
-            )
-            floors["coalescing_ratio"] = max(
-                floors.get("coalescing_ratio", 0.0), ratio
-            )
-    return {key: round(value, 3) for key, value in sorted(floors.items())}
-
-
-def collect_kernel_measurements(repeats: int = 2) -> dict:
-    """Best-of-``repeats`` compiled-kernel speedups over the numpy twin.
-
-    Runs the ``kernels`` experiment at the committed gate configuration
-    (n = m = ``GATE_KERNEL_SIZE``, same seeds on both backends).  Every row
-    must report bit-identical draws (``match``); a mismatching row is
-    recorded as speedup 0.0 so the floor comparison fails loudly rather
-    than rewarding a wrong draw stream.  ``bit_identity`` keeps the *worst*
-    row across repeats, and ``peak_rss_bytes`` records the process's peak
-    resident set after the runs (the committed baseline holds its ceiling).
-
-    Callers must check :func:`repro.kernels.numba_available` first - the
-    gate records an explicit SKIP instead of calling this without numba.
-    """
-    import resource
-
-    _title, kernels = EXPERIMENTS["kernels"]
-    best: dict[str, float] = {}
-    identity = 1.0
-    for _ in range(max(1, repeats)):
-        rows = kernels(
-            scale=ExperimentScale.SMOKE,
-            sizes=(GATE_KERNEL_SIZE,),
-            num_samples=GATE_KERNEL_SAMPLES,
-        )
-        for row in rows:
-            key = _row_key(row)
-            speedup = float(row["speedup"]) if row["match"] else 0.0
-            identity = min(identity, 1.0 if row["match"] else 0.0)
-            if key not in best or speedup > best[key]:
-                best[key] = speedup
+def _peak_rss_bytes(row: dict) -> float:
     # ru_maxrss is KiB on Linux (bytes on macOS; the committed ceiling is
     # generous enough that the platform difference never flips the gate).
-    peak_rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
-    return {
-        "speedup": {key: round(value, 3) for key, value in sorted(best.items())},
-        "bit_identity": identity,
-        "peak_rss_bytes": peak_rss,
-    }
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
 
 
-def collect_warmstart_measurements(repeats: int = 1) -> dict:
-    """Best-of-``repeats`` artifact-attach speedups over a cold prepare.
+def _needs_cpus(minimum: int) -> Callable[[], str | None]:
+    def reason() -> str | None:
+        cpus = os.cpu_count() or 1
+        if cpus >= minimum:
+            return None
+        return f"only {cpus} CPU(s) available (needs >= {minimum})"
 
-    Runs the ``warmstart`` experiment at the committed gate configuration
-    (n = m = ``GATE_WARMSTART_POINTS // 2`` uniform points, serial bbst).
-    Every row must report bit-identical draws from the warm session
-    (``match``); a mismatching row is recorded as speedup 0.0 so the floor
-    comparison fails loudly rather than rewarding an artifact that changes
-    the draw stream.  ``bit_identity`` keeps the *worst* row across repeats.
+    return reason
+
+
+def _needs_numba() -> str | None:
+    from repro.kernels import numba_available
+
+    if numba_available():
+        return None
+    return "numba is not installed (pip install repro[numba])"
+
+
+def _numba_meta() -> dict[str, Any]:
+    from repro.kernels import numba_version
+
+    return {"numba": numba_version()}
+
+
+_DATASETS = ("castreet", "foursquare")
+_SAMPLES = 2_000
+_SESSION = {"requests": 6, "num_samples": 500}
+_PARALLEL = {"jobs": 4, "total_points": 200_000, "num_samples": 10_000}
+_DYNAMIC = {"rounds": 5, "batch": 500, "total_points": 40_000, "num_samples": 2_000}
+_MANAGER = {"tenants": 8, "rounds": 3, "num_samples": 500}
+_SERVICE = {"connections": 1_000, "requests_per_connection": 2, "num_samples": 8}
+_KERNEL_SIZE, _KERNEL_SAMPLES = 1_000_000, 100_000
+_WARM_POINTS = 2_000_000
+
+_MANAGER_BROKE = (
+    "measured {measured:g}, below the required {required:g} "
+    f"(tenants={_MANAGER['tenants']}, rounds={_MANAGER['rounds']}) - the "
+    "multi-tenant budget or bit-identity guarantee broke"
+)
+_SERVICE_BROKE = (
+    "measured {measured:g}, below the required {required:g} "
+    f"(connections={_SERVICE['connections']}, "
+    f"requests/conn={_SERVICE['requests_per_connection']}) - the coalescer "
+    "stopped merging, shed gate load, or broke the bit-identity contract"
+)
+
+#: The eight gate sections, in report order.
+SECTIONS: tuple[Section, ...] = (
+    Section(
+        name="sampling",
+        key="sampling_seconds",
+        label="",
+        experiment="table4",
+        kwargs={"datasets": _DATASETS, "num_samples": _SAMPLES},
+        meta=lambda: {"datasets": list(_DATASETS), "samples": _SAMPLES},
+        metrics=(
+            Metric(
+                "", _column("sampling_seconds"), min, "factor",
+                "sampling phase took {measured:.4f}s, more than {factor:g}x "
+                "the baseline {required:.4f}s",
+                per_row=True, shown="{:.4f}s", digits=5,
+            ),
+        ),
+    ),
+    Section(
+        name="session_reuse",
+        key="session_speedup",
+        label="session_reuse ",
+        experiment="session",
+        kwargs={"datasets": _DATASETS, **_SESSION},
+        meta=lambda: {
+            "session_requests": _SESSION["requests"],
+            "session_samples": _SESSION["num_samples"],
+        },
+        metrics=(
+            Metric(
+                "", _column("speedup"), max, "minimum",
+                "session draws only {measured:.2f}x faster than one-shot "
+                "sampling, below the required {required:.2f}x - structure "
+                "reuse is not paying",
+                per_row=True, slack=_scaled(2.0, 1.05), shown="{:.2f}x",
+            ),
+        ),
+    ),
+    Section(
+        name="parallel",
+        key="parallel_speedup",
+        label="parallel_speedup ",
+        experiment="parallel",
+        kwargs=_PARALLEL,
+        repeats=2,
+        opt_in=True,
+        skip=_needs_cpus(2),
+        help="also measure the shard-parallel speedup floor "
+        f"(jobs={_PARALLEL['jobs']}, n=m={_PARALLEL['total_points'] // 2:,}; "
+        "multi-core machines only)",
+        metrics=(
+            Metric(
+                "", _speedup_if("totals_match"), max, "minimum",
+                "sharded engine only {measured:.2f}x faster end-to-end than "
+                "the serial path, below the required {required:.2f}x "
+                f"(jobs={_PARALLEL['jobs']}, "
+                f"n=m={_PARALLEL['total_points'] // 2:,})",
+                per_row=True, slack=_scaled(2.0, 1.05), shown="{:.2f}x",
+            ),
+        ),
+    ),
+    Section(
+        name="dynamic",
+        key="dynamic_speedup",
+        label="dynamic_speedup ",
+        experiment="dynamic",
+        kwargs=_DYNAMIC,
+        repeats=2,
+        opt_in=True,
+        help="also measure the incremental-update speedup floor "
+        f"(rounds={_DYNAMIC['rounds']}, batch={_DYNAMIC['batch']}, "
+        f"n=m={_DYNAMIC['total_points'] // 2:,})",
+        metrics=(
+            Metric(
+                "", _speedup_if("state_match"), max, "minimum",
+                "incremental maintenance only {measured:.2f}x faster than a "
+                "full rebuild per change, below the required {required:.2f}x "
+                f"(rounds={_DYNAMIC['rounds']}, batch={_DYNAMIC['batch']}, "
+                f"n=m={_DYNAMIC['total_points'] // 2:,}) - or the maintained "
+                "state drifted from the fresh-build state",
+                per_row=True, slack=_scaled(2.0, 1.05), shown="{:.2f}x",
+            ),
+        ),
+    ),
+    Section(
+        name="manager",
+        key="manager",
+        label="manager ",
+        experiment="manager",
+        kwargs=_MANAGER,
+        repeats=1,
+        opt_in=True,
+        help="also measure the multi-tenant manager floors "
+        f"(tenants={_MANAGER['tenants']}, rounds={_MANAGER['rounds']}, "
+        "memory budget ~50% of total prepared bytes)",
+        metrics=tuple(
+            Metric(name, _column(name), min, "minimum", _MANAGER_BROKE)
+            for name in ("budget_adherence", "eviction_bit_identity", "eviction_exercised")
+        ),
+    ),
+    Section(
+        name="service",
+        key="service",
+        label="service ",
+        experiment="service",
+        kwargs=_SERVICE,
+        repeats=1,
+        opt_in=True,
+        skip=_needs_cpus(2),
+        help="also measure the async-service floors "
+        f"(connections={_SERVICE['connections']}, "
+        f"requests/conn={_SERVICE['requests_per_connection']}; "
+        "multi-core machines only)",
+        metrics=(
+            Metric(
+                "coalescing_bit_identity", _column("coalescing_bit_identity"),
+                min, "minimum", _SERVICE_BROKE,
+            ),
+            Metric(
+                "coalescing_ratio", _column("coalescing_ratio"), max, "minimum",
+                _SERVICE_BROKE, slack=_scaled(2.0, 1.2),
+            ),
+            Metric("request_success", _success, min, "minimum", _SERVICE_BROKE),
+        ),
+    ),
+    Section(
+        name="kernels",
+        key="kernels",
+        label="kernels ",
+        experiment="kernels",
+        kwargs={"sizes": (_KERNEL_SIZE,), "num_samples": _KERNEL_SAMPLES},
+        repeats=2,
+        opt_in=True,
+        skip=_needs_numba,
+        meta=_numba_meta,
+        help="also measure the compiled-kernel floors: numba backend vs "
+        f"numpy twin at n=m={_KERNEL_SIZE:,}, same seeds "
+        "(explicit SKIP when numba is not installed)",
+        metrics=(
+            Metric(
+                "speedup", _speedup_if("match"), max, "minimum",
+                "compiled backend only {measured:.2f}x faster in the sampling "
+                "phase than the numpy twin, below the required "
+                "{required:.2f}x "
+                f"(n=m={_KERNEL_SIZE:,}, t={_KERNEL_SAMPLES:,}) - or the "
+                "draws stopped being bit-identical",
+                per_row=True, slack=_scaled(2.0, 3.0), shown="{:.2f}x",
+            ),
+            Metric(
+                "bit_identity", _boolean("match"), min, "minimum",
+                "measured {measured:g}, below the required {required:g} - the "
+                "compiled kernels diverged from their numpy twins",
+            ),
+            Metric(
+                "peak_rss_bytes", _peak_rss_bytes, max, "ceiling",
+                "peak RSS {measured:,} bytes exceeds the committed ceiling "
+                "{required:,} bytes",
+                slack=lambda value: int(value) * 2, shown="{:,}",
+            ),
+        ),
+    ),
+    Section(
+        name="warmstart",
+        key="warm_start",
+        label="warm_start ",
+        experiment="warmstart",
+        kwargs={"sizes": (_WARM_POINTS,), "num_samples": 10_000},
+        repeats=1,
+        opt_in=True,
+        help="also measure the warm-start floors: attaching a saved "
+        "prepared-state artifact vs the cold build/count pipeline at "
+        f"n=m={_WARM_POINTS // 2:,} (bit-identical draws required)",
+        metrics=(
+            Metric(
+                "speedup", _speedup_if("match"), max, "minimum",
+                "attaching the saved artifact was only {measured:.2f}x faster "
+                "than the cold build/count pipeline, below the required "
+                "{required:.2f}x "
+                f"(n=m={_WARM_POINTS // 2:,}) - or the warm draws stopped "
+                "being bit-identical",
+                # Attach time is tiny, so the ratio jitters hard with disk
+                # cache state: quartered, never below the 10x acceptance floor.
+                per_row=True, slack=_scaled(4.0, 10.0), shown="{:.2f}x",
+            ),
+            Metric(
+                "bit_identity", _boolean("match"), min, "minimum",
+                "measured {measured:g}, below the required {required:g} - the "
+                "warm session's draws diverged from the cold session's",
+            ),
+        ),
+    ),
+)
+
+
+def _by_name(section: Section) -> dict[str, Metric]:
+    return {metric.name: metric for metric in section.metrics}
+
+
+def _by_metric(section: Section, payload: dict) -> dict[str, Any]:
+    """A section payload keyed by metric name (a ``""`` metric owns all of it).
+
+    The inverse is ``by_metric.get("", by_metric)``.
     """
-    _title, warmstart = EXPERIMENTS["warmstart"]
-    best: dict[str, float] = {}
-    identity = 1.0
+    return {"": payload} if "" in _by_name(section) else payload
+
+
+def _entries(section: Section, payload: dict) -> dict[str, tuple[Metric | None, float]]:
+    """``label -> (metric, value)`` for every number in a section payload.
+
+    Numbers no metric declares map to ``None``; non-numbers (the committed
+    baseline's ``note`` strings) are skipped.
+    """
+    metrics = _by_name(section)
+    entries: dict[str, tuple[Metric | None, float]] = {}
+    for name, value in _by_metric(section, payload).items():
+        metric = metrics.get(name)
+        if metric is not None and metric.per_row:
+            for key, number in sorted(value.items()):
+                entries[section.label + key] = (metric, number)
+        elif isinstance(value, int | float):
+            entries[section.label + name] = (metric, value)
+    return entries
+
+
+def collect_section(section: Section, repeats: int = 1) -> dict:
+    """Run one section's experiment ``repeats`` times and reduce its metrics."""
+    _title, runner = EXPERIMENTS[section.experiment]
+    found: dict[str, dict[str, list[float]]] = {m.name: {} for m in section.metrics}
     for _ in range(max(1, repeats)):
-        rows = warmstart(
-            scale=ExperimentScale.SMOKE,
-            sizes=(GATE_WARMSTART_POINTS,),
-            num_samples=GATE_WARMSTART_SAMPLES,
-        )
-        for row in rows:
-            key = _row_key(row)
-            speedup = float(row["speedup"]) if row["match"] else 0.0
-            identity = min(identity, 1.0 if row["match"] else 0.0)
-            if key not in best or speedup > best[key]:
-                best[key] = speedup
-    return {
-        "speedup": {key: round(value, 3) for key, value in sorted(best.items())},
-        "bit_identity": identity,
+        for row in runner(scale=ExperimentScale.SMOKE, **section.kwargs):
+            for metric in section.metrics:
+                key = _row_key(row) if metric.per_row else ""
+                found[metric.name].setdefault(key, []).append(metric.value(row))
+    payload: dict[str, Any] = {}
+    for metric in section.metrics:
+        reduced = {
+            key: round(metric.reduce(values), metric.digits)
+            for key, values in sorted(found[metric.name].items())
+        }
+        if metric.per_row:
+            payload[metric.name] = reduced
+        elif reduced:
+            payload[metric.name] = reduced[""]
+    return payload.get("", payload)
+
+
+def collect_measurements(sections: Sequence[Section], repeats: int = 3) -> dict:
+    """Measure ``sections`` into one ``BENCH_ci.json`` payload.
+
+    Sections with their own ``repeats`` keep it; the others run
+    ``repeats`` times.
+    """
+    from repro.kernels import runtime_meta
+
+    meta: dict[str, Any] = {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
     }
+    payload: dict[str, Any] = {"meta": meta}
+    for section in sections:
+        payload[section.key] = collect_section(section, section.repeats or repeats)
+        meta.update(section.meta())
+    meta["repeats"] = repeats
+    meta["runtime"] = runtime_meta()
+    return payload
 
 
 def as_baseline(current: dict) -> dict:
     """Turn raw measurements into a committed-baseline payload with slack.
 
-    ``sampling_seconds`` is written as measured (the gate's ``factor`` already
-    provides the slack); ``session_speedup`` floors are halved (never below
-    1.05x) because the gate compares them directly - run-to-run jitter passes
-    while a session that rebuilds its structures per request (~1.0x) fails.
-    The ``manager`` section is copied verbatim: its floors are exact 0/1
-    correctness booleans, so halving (which would floor them at 1.05) would
-    make them unsatisfiable.  The ``service`` section mixes both kinds:
-    ``coalescing_bit_identity`` and ``request_success`` are correctness
-    floors copied verbatim, while the measured ``coalescing_ratio`` is
-    halved (never below 1.2 - strictly above 1.0, so a coalescer that stops
-    merging fails even from a jittery measurement).  The ``kernels``
-    section writes its speedup floors as half the measurement but never
-    below the committed 3.0x (the issue's acceptance floor), keeps
-    ``bit_identity`` verbatim (exact 0/1 correctness), and doubles the
-    measured peak RSS into a generous memory *ceiling*.
+    Every metric's ``slack`` rule maps its measurement to the committed
+    value: sampling seconds are written as measured (``--factor`` provides
+    the slack), speedup floors are halved or quartered with a minimum, the
+    peak-RSS ceiling is doubled, and the exact 0/1 correctness booleans are
+    copied verbatim (halving them would make the floors meaningless).
     """
-    def halved_floors(section: dict) -> dict:
-        return {
-            key: round(max(1.05, value / 2.0), 3) for key, value in section.items()
-        }
+    def with_slack(metric: Metric | None, value: Any) -> Any:
+        if metric is None:
+            return value
+        if metric.per_row:
+            return {key: metric.slack(number) for key, number in value.items()}
+        return metric.slack(value)
 
-    payload = dict(current)
-    payload["session_speedup"] = halved_floors(current.get("session_speedup", {}))
-    for section in ("parallel_speedup", "dynamic_speedup"):
-        if section in current:
-            payload[section] = halved_floors(current[section])
-    if "service" in current:
-        service = dict(current["service"])
-        service["coalescing_ratio"] = round(
-            max(1.2, service.get("coalescing_ratio", 0.0) / 2.0), 3
-        )
-        payload["service"] = service
-    if "kernels" in current:
-        kernels = dict(current["kernels"])
-        kernels["speedup"] = {
-            key: round(max(3.0, value / 2.0), 3)
-            for key, value in kernels.get("speedup", {}).items()
+    payload = {key: value for key, value in current.items() if key != "sections"}
+    for section in SECTIONS:
+        measured = current.get(section.key)
+        if measured is None:
+            continue
+        metrics = _by_name(section)
+        written = {
+            name: with_slack(metrics.get(name), value)
+            for name, value in _by_metric(section, measured).items()
         }
-        kernels["peak_rss_bytes"] = int(kernels.get("peak_rss_bytes", 0)) * 2
-        payload["kernels"] = kernels
-    # warm_start speedup floors are quartered (attach time is tiny, so the
-    # measured ratio jitters hard with disk cache state) but never drop
-    # below the committed 10x acceptance floor; bit_identity is an exact
-    # 0/1 correctness boolean copied verbatim.
-    if "warm_start" in current:
-        warm = dict(current["warm_start"])
-        warm["speedup"] = {
-            key: round(max(10.0, value / 4.0), 3)
-            for key, value in warm.get("speedup", {}).items()
-        }
-        payload["warm_start"] = warm
-    payload.pop("sections", None)
+        payload[section.key] = written.get("", written)
     return payload
 
 
@@ -512,223 +514,33 @@ def compare_to_baseline(
 ) -> list[str]:
     """Human-readable regression messages (empty when the gate passes).
 
-    Sampling-phase rows fail when slower than ``factor`` times their baseline;
-    session-reuse rows fail when the measured speedup drops below the
-    committed minimum (the baseline holds hand-rounded-*down* floors, so a
-    session that silently rebuilds its structures per request - ~1x - reliably
-    fails).  Rows missing from either side are reported as failures too, so
-    the baseline cannot silently rot when samplers are added or renamed.
+    Each committed value is held to its metric's floor kind.  Opt-in
+    sections are compared only when the current payload measured them - a
+    machine that skipped a section does not fail its floors.  Entries
+    missing from either side are failures too, so the baseline cannot
+    silently rot when samplers are added or renamed.
     """
     problems: list[str] = []
-    current_rows = current["sampling_seconds"]
-    baseline_rows = baseline["sampling_seconds"]
-    for key, allowed in sorted(baseline_rows.items()):
-        measured = current_rows.get(key)
-        if measured is None:
-            problems.append(f"{key}: missing from the current measurements")
+    for section in SECTIONS:
+        measured_payload = current.get(section.key)
+        if measured_payload is None and section.opt_in:
             continue
-        if measured > factor * allowed:
-            problems.append(
-                f"{key}: sampling phase took {measured:.4f}s, more than "
-                f"{factor:g}x the baseline {allowed:.4f}s"
-            )
-    for key in sorted(set(current_rows) - set(baseline_rows)):
-        problems.append(f"{key}: missing from the committed baseline")
-
-    current_speedups = current.get("session_speedup", {})
-    baseline_speedups = baseline.get("session_speedup", {})
-    for key, required in sorted(baseline_speedups.items()):
-        measured = current_speedups.get(key)
-        if measured is None:
-            problems.append(f"session_reuse {key}: missing from the current measurements")
-            continue
-        if measured < required:
-            problems.append(
-                f"session_reuse {key}: session draws only {measured:.2f}x faster "
-                f"than one-shot sampling, below the required {required:.2f}x - "
-                "structure reuse is not paying"
-            )
-    for key in sorted(set(current_speedups) - set(baseline_speedups)):
-        problems.append(f"session_reuse {key}: missing from the committed baseline")
-
-    # The parallel section is opt-in (--parallel; multi-core runners only),
-    # so it is compared only when the current payload actually measured it -
-    # a machine that skipped the measurement does not fail the floors.
-    current_parallel = current.get("parallel_speedup")
-    baseline_parallel = baseline.get("parallel_speedup", {})
-    if current_parallel is not None:
-        for key, required in sorted(baseline_parallel.items()):
-            measured = current_parallel.get(key)
-            if measured is None:
-                problems.append(
-                    f"parallel_speedup {key}: missing from the current measurements"
-                )
+        measured = _entries(section, measured_payload or {})
+        committed = _entries(section, baseline.get(section.key) or {})
+        for label, (metric, required) in committed.items():
+            if metric is None:
                 continue
-            if measured < required:
-                problems.append(
-                    f"parallel_speedup {key}: sharded engine only {measured:.2f}x "
-                    f"faster end-to-end than the serial path, below the required "
-                    f"{required:.2f}x (jobs={GATE_PARALLEL_JOBS}, "
-                    f"n=m={GATE_PARALLEL_POINTS // 2:,})"
-                )
-        for key in sorted(set(current_parallel) - set(baseline_parallel)):
-            problems.append(
-                f"parallel_speedup {key}: missing from the committed baseline"
-            )
-
-    # The dynamic section is opt-in (--dynamic) for the same reason: only
-    # payloads that measured it are held to the committed floors.
-    current_dynamic = current.get("dynamic_speedup")
-    baseline_dynamic = baseline.get("dynamic_speedup", {})
-    if current_dynamic is not None:
-        for key, required in sorted(baseline_dynamic.items()):
-            measured = current_dynamic.get(key)
-            if measured is None:
-                problems.append(
-                    f"dynamic_speedup {key}: missing from the current measurements"
-                )
+            if label not in measured:
+                problems.append(f"{label}: missing from the current measurements")
                 continue
-            if measured < required:
-                problems.append(
-                    f"dynamic_speedup {key}: incremental maintenance only "
-                    f"{measured:.2f}x faster than a full rebuild per change, "
-                    f"below the required {required:.2f}x "
-                    f"(rounds={GATE_DYNAMIC_ROUNDS}, batch={GATE_DYNAMIC_BATCH}, "
-                    f"n=m={GATE_DYNAMIC_POINTS // 2:,}) - or the maintained "
-                    "state drifted from the fresh-build state"
+            value = measured[label][1]
+            if FLOORS[metric.floor](value, required, factor):
+                message = metric.message.format(
+                    measured=value, required=required, factor=factor
                 )
-        for key in sorted(set(current_dynamic) - set(baseline_dynamic)):
-            problems.append(
-                f"dynamic_speedup {key}: missing from the committed baseline"
-            )
-
-    # The manager section is opt-in (--manager) too.  Its floors are exact
-    # 0/1 correctness booleans, so any measured value below the committed 1.0
-    # means a real violation (budget exceeded, non-bit-identical draw after
-    # eviction, or a workload that never evicted and thus proved nothing).
-    current_manager = current.get("manager")
-    baseline_manager = baseline.get("manager", {})
-    if current_manager is not None:
-        for key, required in sorted(baseline_manager.items()):
-            measured = current_manager.get(key)
-            if measured is None:
-                problems.append(f"manager {key}: missing from the current measurements")
-                continue
-            if measured < required:
-                problems.append(
-                    f"manager {key}: measured {measured:g}, below the required "
-                    f"{required:g} (tenants={GATE_MANAGER_TENANTS}, "
-                    f"rounds={GATE_MANAGER_ROUNDS}) - the multi-tenant budget "
-                    "or bit-identity guarantee broke"
-                )
-        for key in sorted(set(current_manager) - set(baseline_manager)):
-            problems.append(f"manager {key}: missing from the committed baseline")
-
-    # The service section is opt-in (--service) as well: bit-identity and
-    # request-success are exact correctness floors, the coalescing ratio is
-    # a halved-measurement floor strictly above 1.0.
-    current_service = current.get("service")
-    baseline_service = baseline.get("service", {})
-    if current_service is not None:
-        for key, required in sorted(baseline_service.items()):
-            measured = current_service.get(key)
-            if measured is None:
-                problems.append(f"service {key}: missing from the current measurements")
-                continue
-            if measured < required:
-                problems.append(
-                    f"service {key}: measured {measured:g}, below the required "
-                    f"{required:g} (connections={GATE_SERVICE_CONNECTIONS}, "
-                    f"requests/conn={GATE_SERVICE_REQUESTS_PER_CONNECTION}) - "
-                    "the coalescer stopped merging, shed gate load, or broke "
-                    "the bit-identity contract"
-                )
-        for key in sorted(set(current_service) - set(baseline_service)):
-            problems.append(f"service {key}: missing from the committed baseline")
-
-    # The kernels section is opt-in (--kernels; numba machines only): the
-    # speedup floors and the bit-identity boolean are minimums, the peak-RSS
-    # ceiling is a *maximum* - compiled kernels must not buy speed with an
-    # unbounded working set.
-    current_kernels = current.get("kernels")
-    baseline_kernels = baseline.get("kernels", {})
-    if current_kernels is not None:
-        current_speedup = current_kernels.get("speedup", {})
-        baseline_speedup = baseline_kernels.get("speedup", {})
-        for key, required in sorted(baseline_speedup.items()):
-            measured = current_speedup.get(key)
-            if measured is None:
-                problems.append(
-                    f"kernels {key}: missing from the current measurements"
-                )
-                continue
-            if measured < required:
-                problems.append(
-                    f"kernels {key}: compiled backend only {measured:.2f}x "
-                    f"faster in the sampling phase than the numpy twin, below "
-                    f"the required {required:.2f}x "
-                    f"(n=m={GATE_KERNEL_SIZE:,}, t={GATE_KERNEL_SAMPLES:,}) - "
-                    "or the draws stopped being bit-identical"
-                )
-        for key in sorted(set(current_speedup) - set(baseline_speedup)):
-            problems.append(f"kernels {key}: missing from the committed baseline")
-        required_identity = baseline_kernels.get("bit_identity")
-        if required_identity is not None:
-            measured_identity = current_kernels.get("bit_identity", 0.0)
-            if measured_identity < required_identity:
-                problems.append(
-                    f"kernels bit_identity: measured {measured_identity:g}, "
-                    f"below the required {required_identity:g} - the compiled "
-                    "kernels diverged from their numpy twins"
-                )
-        rss_ceiling = baseline_kernels.get("peak_rss_bytes")
-        if rss_ceiling is not None:
-            measured_rss = current_kernels.get("peak_rss_bytes")
-            if measured_rss is None:
-                problems.append(
-                    "kernels peak_rss_bytes: missing from the current measurements"
-                )
-            elif measured_rss > rss_ceiling:
-                problems.append(
-                    f"kernels peak_rss_bytes: peak RSS {measured_rss:,} bytes "
-                    f"exceeds the committed ceiling {rss_ceiling:,} bytes"
-                )
-
-    # The warm-start section is opt-in (--warmstart): the attach-speedup
-    # floors are minimums and bit_identity is an exact correctness boolean
-    # (an artifact that changes the draw stream must fail, never pass
-    # faster).
-    current_warm = current.get("warm_start")
-    baseline_warm = baseline.get("warm_start", {})
-    if current_warm is not None:
-        current_speedup = current_warm.get("speedup", {})
-        baseline_speedup = baseline_warm.get("speedup", {})
-        for key, required in sorted(baseline_speedup.items()):
-            measured = current_speedup.get(key)
-            if measured is None:
-                problems.append(
-                    f"warm_start {key}: missing from the current measurements"
-                )
-                continue
-            if measured < required:
-                problems.append(
-                    f"warm_start {key}: attaching the saved artifact was only "
-                    f"{measured:.2f}x faster than the cold build/count "
-                    f"pipeline, below the required {required:.2f}x "
-                    f"(n=m={GATE_WARMSTART_POINTS // 2:,}) - or the warm "
-                    "draws stopped being bit-identical"
-                )
-        for key in sorted(set(current_speedup) - set(baseline_speedup)):
-            problems.append(f"warm_start {key}: missing from the committed baseline")
-        required_identity = baseline_warm.get("bit_identity")
-        if required_identity is not None:
-            measured_identity = current_warm.get("bit_identity", 0.0)
-            if measured_identity < required_identity:
-                problems.append(
-                    f"warm_start bit_identity: measured {measured_identity:g}, "
-                    f"below the required {required_identity:g} - the warm "
-                    "session's draws diverged from the cold session's"
-                )
+                problems.append(f"{label}: {message}")
+        for label in sorted(measured.keys() - committed.keys()):
+            problems.append(f"{label}: missing from the committed baseline")
     return problems
 
 
@@ -740,35 +552,33 @@ def summarize_sections(
     """Explicit per-section outcome: PASS, SKIP (with reason) or FAIL.
 
     A section is SKIP when it was not measured (``skip_reasons`` holds why),
-    FAIL when any regression message belongs to it, and PASS only when it
-    was actually measured and had no failures - a skipped section is never
-    reported as passing.  With ``problems=None`` (no comparison ran, e.g.
-    ``--write-baseline``), measured sections are reported as MEASURED.
+    FAIL when any regression message belongs to it (the section with the
+    longest label the message starts with), and PASS only when it was
+    actually measured and had no failures.  With ``problems=None`` (no
+    comparison ran, e.g. ``--write-baseline``), measured sections are
+    reported as MEASURED.
     """
-    statuses: dict[str, dict] = {}
-    by_section: dict[str, list[str]] = {name: [] for name in GATE_SECTIONS}
+    owned: dict[str, list[str]] = {section.name: [] for section in SECTIONS}
     for problem in problems or []:
-        owner = "sampling"
-        for section, prefix in _SECTION_PREFIXES.items():
-            if problem.startswith(prefix):
-                owner = section
-                break
-        by_section[owner].append(problem)
-    for section in GATE_SECTIONS:
-        if current.get(_SECTION_KEYS[section]) is None:
-            statuses[section] = {
-                "status": "SKIP",
-                "reason": skip_reasons.get(section, "not measured"),
-            }
+        owner = max(
+            (section for section in SECTIONS if problem.startswith(section.label)),
+            key=lambda section: len(section.label),
+        )
+        owned[owner.name].append(problem)
+    statuses: dict[str, dict] = {}
+    for section in SECTIONS:
+        if current.get(section.key) is None:
+            reason = skip_reasons.get(section.name, "not measured")
+            statuses[section.name] = {"status": "SKIP", "reason": reason}
         elif problems is None:
-            statuses[section] = {"status": "MEASURED", "reason": None}
-        elif by_section[section]:
-            statuses[section] = {
+            statuses[section.name] = {"status": "MEASURED", "reason": None}
+        elif owned[section.name]:
+            statuses[section.name] = {
                 "status": "FAIL",
-                "reason": "; ".join(by_section[section]),
+                "reason": "; ".join(owned[section.name]),
             }
         else:
-            statuses[section] = {"status": "PASS", "reason": None}
+            statuses[section.name] = {"status": "PASS", "reason": None}
     return statuses
 
 
@@ -794,149 +604,42 @@ def main(argv: list[str] | None = None) -> int:
         "--write-baseline", action="store_true",
         help="write the measurements to --baseline instead of gating",
     )
-    parser.add_argument(
-        "--parallel", action="store_true",
-        help="also measure the shard-parallel speedup floor "
-        f"(jobs={GATE_PARALLEL_JOBS}, n=m={GATE_PARALLEL_POINTS // 2:,}; "
-        "multi-core machines only)",
-    )
-    parser.add_argument(
-        "--dynamic", action="store_true",
-        help="also measure the incremental-update speedup floor "
-        f"(rounds={GATE_DYNAMIC_ROUNDS}, batch={GATE_DYNAMIC_BATCH}, "
-        f"n=m={GATE_DYNAMIC_POINTS // 2:,})",
-    )
-    parser.add_argument(
-        "--manager", action="store_true",
-        help="also measure the multi-tenant manager floors "
-        f"(tenants={GATE_MANAGER_TENANTS}, rounds={GATE_MANAGER_ROUNDS}, "
-        "memory budget ~50% of total prepared bytes)",
-    )
-    parser.add_argument(
-        "--service", action="store_true",
-        help="also measure the async-service floors "
-        f"(connections={GATE_SERVICE_CONNECTIONS}, "
-        f"requests/conn={GATE_SERVICE_REQUESTS_PER_CONNECTION}; "
-        "multi-core machines only)",
-    )
-    parser.add_argument(
-        "--kernels", action="store_true",
-        help="also measure the compiled-kernel floors: numba backend vs "
-        f"numpy twin at n=m={GATE_KERNEL_SIZE:,}, same seeds "
-        "(explicit SKIP when numba is not installed)",
-    )
-    parser.add_argument(
-        "--warmstart", action="store_true",
-        help="also measure the warm-start floors: attaching a saved "
-        "prepared-state artifact vs the cold build/count pipeline at "
-        f"n=m={GATE_WARMSTART_POINTS // 2:,} (bit-identical draws required)",
-    )
+    for section in SECTIONS:
+        if section.opt_in:
+            parser.add_argument(f"--{section.name}", action="store_true", help=section.help)
     args = parser.parse_args(argv)
 
     skip_reasons: dict[str, str] = {}
-    current = collect_measurements(repeats=args.repeats)
-    if not args.parallel:
-        skip_reasons["parallel"] = "not requested (pass --parallel)"
-    else:
-        cpus = os.cpu_count() or 1
-        if cpus < GATE_PARALLEL_MIN_CPUS:
-            skip_reasons["parallel"] = (
-                f"only {cpus} CPU(s) available "
-                f"(needs >= {GATE_PARALLEL_MIN_CPUS})"
-            )
+    selected: list[Section] = []
+    for section in SECTIONS:
+        if section.opt_in and not getattr(args, section.name):
+            skip_reasons[section.name] = f"not requested (pass --{section.name})"
+        elif (reason := section.skip()) is not None:
+            skip_reasons[section.name] = reason
             print(
-                f"warning: --parallel requested but only {cpus} CPU(s) available; "
-                "skipping the parallel floor",
+                f"warning: --{section.name} requested but {reason}; skipping "
+                f"the {section.name} section",
                 file=sys.stderr,
             )
         else:
-            current["parallel_speedup"] = collect_parallel_measurements()
-    if args.dynamic:
-        current["dynamic_speedup"] = collect_dynamic_measurements()
-    else:
-        skip_reasons["dynamic"] = "not requested (pass --dynamic)"
-    if args.manager:
-        current["manager"] = collect_manager_measurements()
-    else:
-        skip_reasons["manager"] = "not requested (pass --manager)"
-    if not args.service:
-        skip_reasons["service"] = "not requested (pass --service)"
-    else:
-        cpus = os.cpu_count() or 1
-        if cpus < GATE_SERVICE_MIN_CPUS:
-            skip_reasons["service"] = (
-                f"only {cpus} CPU(s) available "
-                f"(needs >= {GATE_SERVICE_MIN_CPUS})"
-            )
-            print(
-                f"warning: --service requested but only {cpus} CPU(s) available; "
-                "skipping the service floors",
-                file=sys.stderr,
-            )
-        else:
-            current["service"] = collect_service_measurements()
-    if not args.kernels:
-        skip_reasons["kernels"] = "not requested (pass --kernels)"
-    else:
-        from repro.kernels import numba_available, numba_version
-
-        if not numba_available():
-            skip_reasons["kernels"] = (
-                "numba is not installed (pip install repro[numba])"
-            )
-            print(
-                "warning: --kernels requested but numba is not installed; "
-                "skipping the kernel floors",
-                file=sys.stderr,
-            )
-        else:
-            current["kernels"] = collect_kernel_measurements()
-            current["meta"]["numba"] = numba_version()
-    if args.warmstart:
-        current["warm_start"] = collect_warmstart_measurements()
-    else:
-        skip_reasons["warmstart"] = "not requested (pass --warmstart)"
+            selected.append(section)
+    current = collect_measurements(selected, repeats=args.repeats)
     args.output.write_text(json.dumps(current, indent=2) + "\n")
     print(f"wrote {args.output}")
-    for key, seconds in current["sampling_seconds"].items():
-        print(f"  {key}: {seconds:.4f}s")
-    for key, speedup in current["session_speedup"].items():
-        print(f"  session_reuse {key}: {speedup:.2f}x")
-    for key, speedup in current.get("parallel_speedup", {}).items():
-        print(f"  parallel_speedup {key}: {speedup:.2f}x")
-    for key, speedup in current.get("dynamic_speedup", {}).items():
-        print(f"  dynamic_speedup {key}: {speedup:.2f}x")
-    for key, value in current.get("manager", {}).items():
-        print(f"  manager {key}: {value:g}")
-    for key, value in current.get("service", {}).items():
-        print(f"  service {key}: {value:g}")
-    kernels = current.get("kernels")
-    if kernels is not None:
-        for key, speedup in kernels.get("speedup", {}).items():
-            print(f"  kernels {key}: {speedup:.2f}x")
-        print(f"  kernels bit_identity: {kernels.get('bit_identity', 0.0):g}")
-        print(f"  kernels peak_rss_bytes: {kernels.get('peak_rss_bytes', 0):,}")
-    warm = current.get("warm_start")
-    if warm is not None:
-        for key, speedup in warm.get("speedup", {}).items():
-            print(f"  warm_start {key}: {speedup:.2f}x")
-        print(f"  warm_start bit_identity: {warm.get('bit_identity', 0.0):g}")
+    for section in selected:
+        for label, (metric, value) in _entries(section, current[section.key]).items():
+            print(f"  {label}: {metric.shown.format(value)}")
 
-    def write_output(sections: dict[str, dict]) -> None:
+    def report(problems: list[str] | None) -> None:
+        sections = summarize_sections(current, skip_reasons, problems=problems)
         current["sections"] = sections
         args.output.write_text(json.dumps(current, indent=2) + "\n")
-
-    def print_sections(sections: dict[str, dict]) -> None:
         for name, row in sections.items():
-            if row["status"] == "SKIP":
-                print(f"section {name}: SKIP ({row['reason']})")
-            else:
-                print(f"section {name}: {row['status']}")
+            reason = f" ({row['reason']})" if row["status"] == "SKIP" else ""
+            print(f"section {name}: {row['status']}{reason}")
 
     if args.write_baseline:
-        sections = summarize_sections(current, skip_reasons, problems=None)
-        write_output(sections)
-        print_sections(sections)
+        report(None)
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         args.baseline.write_text(json.dumps(as_baseline(current), indent=2) + "\n")
         print(f"baseline refreshed at {args.baseline}")
@@ -947,9 +650,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     baseline = json.loads(args.baseline.read_text())
     problems = compare_to_baseline(current, baseline, factor=args.factor)
-    sections = summarize_sections(current, skip_reasons, problems=problems)
-    write_output(sections)
-    print_sections(sections)
+    report(problems)
     if problems:
         print("performance gate FAILED:", file=sys.stderr)
         for problem in problems:

@@ -17,12 +17,15 @@ function                                  paper artefact
 :func:`run_fig7_dataset_size`             Fig. 7
 :func:`run_fig8_size_ratio`               Fig. 8
 :func:`run_fig9_bbst_vs_cell_kdtree`      Fig. 9
+:func:`run_bucket_capacity_ablation`      Definition 3 bucket size (extra)
+:func:`run_join_then_sample_crossover`    Section I motivation (extra)
 :func:`run_uniformity_experiment`         correctness (extra)
 ========================================  ==========================
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Sequence
 from typing import Any
@@ -66,6 +69,8 @@ __all__ = [
     "run_fig7_dataset_size",
     "run_fig8_size_ratio",
     "run_fig9_bbst_vs_cell_kdtree",
+    "run_bucket_capacity_ablation",
+    "run_join_then_sample_crossover",
     "run_accuracy_experiment",
     "run_uniformity_experiment",
 ]
@@ -856,6 +861,7 @@ def run_accuracy_experiment(
         rows.append(
             {
                 "dataset": config.dataset,
+                "m": spec.m,
                 "join_size": report.join_size,
                 "sum_mu": report.sum_mu,
                 "ratio": report.ratio,
@@ -1022,6 +1028,101 @@ def run_fig9_bbst_vs_cell_kdtree(
                     "ub_seconds": result.timings.count_seconds,
                     "sampling_seconds": result.timings.sample_seconds,
                     "iterations": result.iterations,
+                }
+            )
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Ablation - BBST bucket capacity (Definition 3)
+# ----------------------------------------------------------------------
+
+#: Bucket capacities of the ablation, as multiples of ``ceil(log2 m)``.
+BUCKET_CAPACITY_FACTORS = (0.5, 1.0, 4.0)
+
+
+def run_bucket_capacity_ablation(
+    workloads: Sequence[WorkloadConfig] | None = None,
+    scale: ExperimentScale = ExperimentScale.SMOKE,
+    datasets: Sequence[str] | None = None,
+    num_samples: int | None = None,
+    seed: int = 37,
+) -> list[Row]:
+    """BBST with bucket capacities around the paper's ``ceil(log2 m)``.
+
+    Tiny buckets make the upper bounds tight but the trees deep; huge
+    buckets make the trees shallow but the bounds (and hence the rejection
+    rate) loose.  Runs on the NYC proxy unless ``datasets`` says otherwise.
+    """
+    rows: list[Row] = []
+    for config in _workloads_or_default(workloads, scale, datasets or ("nyc",)):
+        spec = build_join_spec(config)
+        t = config.num_samples if num_samples is None else num_samples
+        log_m = max(1, math.ceil(math.log2(spec.m)))
+        for factor in BUCKET_CAPACITY_FACTORS:
+            capacity = max(1, round(factor * log_m))
+            sampler = create_sampler("bbst", spec, bucket_capacity=capacity)
+            sampler.preprocess()
+            result = sampler.sample(t, seed=seed)
+            rows.append(
+                {
+                    "dataset": config.dataset,
+                    "capacity_factor": factor,
+                    "bucket_capacity": capacity,
+                    "log_m": log_m,
+                    "t": t,
+                    "iterations": result.iterations,
+                    "acceptance_rate": result.acceptance_rate,
+                    "sum_mu": result.metadata["sum_mu"],
+                    "total_seconds": result.timings.total_seconds,
+                }
+            )
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Motivation - sampling the join vs materialising it
+# ----------------------------------------------------------------------
+
+#: Window half-extents of the crossover: a smaller and a larger |J| on one instance.
+CROSSOVER_HALF_EXTENTS = (200.0, 600.0)
+
+
+def run_join_then_sample_crossover(
+    workloads: Sequence[WorkloadConfig] | None = None,
+    scale: ExperimentScale = ExperimentScale.SMOKE,
+    datasets: Sequence[str] | None = None,
+    num_samples: int | None = None,
+    seed: int = 41,
+) -> list[Row]:
+    """Join-then-sample vs BBST on the same instance as the window grows.
+
+    The paper's introduction rests on this crossover: once ``|J|`` is
+    large, materialising it costs far more than drawing ``t`` uniform
+    samples with BBST.  Both sides pre-process outside the timed phases.
+    Runs on the NYC proxy unless ``datasets`` says otherwise.
+    """
+    rows: list[Row] = []
+    for config in _workloads_or_default(workloads, scale, datasets or ("nyc",)):
+        t = config.num_samples if num_samples is None else num_samples
+        for half_extent in CROSSOVER_HALF_EXTENTS:
+            spec = build_join_spec(config, half_extent=half_extent)
+            results: dict[str, JoinSampleResult] = {}
+            for name in ("join-then-sample", "bbst"):
+                sampler = create_sampler(name, spec)
+                sampler.preprocess()
+                results[name] = sampler.sample(t, seed=seed)
+            materialise = results["join-then-sample"].timings.total_seconds
+            bbst = results["bbst"].timings.total_seconds
+            rows.append(
+                {
+                    "dataset": config.dataset,
+                    "half_extent": half_extent,
+                    "t": t,
+                    "join_size": results["join-then-sample"].metadata["join_size"],
+                    "join_then_sample_seconds": materialise,
+                    "bbst_seconds": bbst,
+                    "speedup": materialise / max(bbst, 1e-9),
                 }
             )
     return rows

@@ -60,7 +60,7 @@ def format_table(rows: Sequence[Mapping[str, Any]], title: str | None = None) ->
 
 
 def format_markdown_table(rows: Sequence[Mapping[str, Any]], title: str | None = None) -> str:
-    """GitHub-flavoured markdown table (what ``EXPERIMENTS.md`` embeds)."""
+    """GitHub-flavoured markdown table (what ``all --output FILE`` writes)."""
     if not rows:
         return f"### {title}\n\n(no rows)\n" if title else "(no rows)\n"
     columns = _columns_of(rows)

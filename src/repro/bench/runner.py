@@ -1,8 +1,9 @@
 """Run every experiment and write a consolidated results report.
 
-``run_all_experiments`` is what the CLI's ``all`` sub-command and the
-``EXPERIMENTS.md`` numbers are produced with.  Each experiment is rendered
-both as a fixed-width table (stdout) and as markdown (the report file).
+:data:`EXPERIMENTS` is the one implementation of every measurement: the
+CLI's ``experiment`` and ``all`` sub-commands and :mod:`repro.bench.ci_gate`
+all run these entries.  ``run_all_experiments`` renders each experiment both
+as a fixed-width table (stdout) and as markdown (the ``--output`` report).
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from pathlib import Path
 
 from repro.bench.harness import (
     run_accuracy_experiment,
+    run_bucket_capacity_ablation,
     run_fig4_memory,
     run_fig5_range_size,
     run_fig6_num_samples,
     run_fig7_dataset_size,
     run_fig8_size_ratio,
     run_fig9_bbst_vs_cell_kdtree,
+    run_join_then_sample_crossover,
     run_kernel_speedup,
     run_manager_multitenancy,
     run_parallel_speedup,
@@ -50,6 +53,14 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., list[dict]]]] = {
     "fig7": ("Fig. 7 - impact of dataset size", run_fig7_dataset_size),
     "fig8": ("Fig. 8 - impact of dataset size difference", run_fig8_size_ratio),
     "fig9": ("Fig. 9 - BBST vs per-cell kd-tree variant", run_fig9_bbst_vs_cell_kdtree),
+    "bucketcap": (
+        "Ablation - BBST bucket capacity around ceil(log2 m)",
+        run_bucket_capacity_ablation,
+    ),
+    "crossover": (
+        "Motivation - join-then-sample vs BBST as |J| grows",
+        run_join_then_sample_crossover,
+    ),
     "vecspeed": (
         "Extra - vectorised batch engine sampling-phase speedup",
         run_vectorization_speedup,

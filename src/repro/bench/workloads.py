@@ -2,17 +2,17 @@
 
 The paper's default setting is ``l = 100`` and ``t = 1,000,000`` on datasets
 between 2.2M and 323M points.  The reproduction scales the datasets down to
-tens of thousands of points (see ``DESIGN.md`` for the substitution
-rationale) and scales the window up slightly so that per-cell occupancies -
-the quantity the algorithms' behaviour depends on - stay realistic.
+tens of thousands of points (synthetic proxies of the four datasets, see
+:mod:`repro.datasets.real_proxies`) and scales the window up slightly so
+that per-cell occupancies - the quantity the algorithms' behaviour depends
+on - stay realistic.
 
 Two pre-defined scales are provided:
 
-* ``ExperimentScale.SMOKE`` - seconds-level runs used by the test-suite and
-  the pytest benchmarks.
-* ``ExperimentScale.PAPER`` - minutes-level runs used by the CLI /
-  ``run_all_experiments`` to produce the numbers recorded in
-  ``EXPERIMENTS.md``.
+* ``ExperimentScale.SMOKE`` - seconds-level runs used by the test-suite, the
+  CI perf gate and the CLI's default ``experiment`` / ``all`` runs.
+* ``ExperimentScale.PAPER`` - minutes-level runs produced with
+  ``repro-spatial-join-sampling all --scale paper --output FILE``.
 """
 
 from __future__ import annotations

@@ -45,7 +45,8 @@ class BBSTSampler(GridJoinSamplerBase):
         The join instance.
     bucket_capacity:
         Optional override of the bucket size (defaults to ``ceil(log2 m)``);
-        exposed for the ablation benchmarks on the bucket-size design choice.
+        exposed for the ``bucketcap`` ablation experiment on the bucket-size
+        design choice.
     batch_size, vectorized, backend:
         Batch-engine knobs forwarded to
         :class:`~repro.core.grid_sampler_base.GridJoinSamplerBase`.

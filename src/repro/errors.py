@@ -32,7 +32,6 @@ __all__ = [
     "ArtifactCorruptError",
     "ArtifactVersionError",
     "ArtifactMismatchError",
-    "ReproDeprecationWarning",
 ]
 
 
@@ -183,15 +182,4 @@ class ArtifactMismatchError(ArtifactError):
     path) when the saved content fingerprints of ``(R, S)`` differ from the
     point sets supplied at load time - a stale artifact must never silently
     serve draws from the wrong join.
-    """
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Category of every deprecation the library emits.
-
-    Routed through :mod:`repro.errors` like the exception hierarchy so that
-    callers can filter (or ``-W error``-escalate) the library's deprecations
-    without touching anyone else's :class:`DeprecationWarning`.  Currently
-    used by the ``REPRO_WARN_DIRECT_SESSION`` soft-deprecation of direct
-    :class:`~repro.api.session.SamplingSession` construction.
     """

@@ -1,6 +1,5 @@
 """Measurement and validation statistics.
 
-* :mod:`~repro.stats.timing` - wall-clock timers and repeated-run helpers.
 * :mod:`~repro.stats.memory` - per-index memory accounting (Fig. 4).
 * :mod:`~repro.stats.uniformity` - statistical tests that the samplers draw
   join pairs uniformly and independently.
@@ -14,7 +13,6 @@ from repro.stats.accuracy import (
     empirical_upper_bound_ratio,
 )
 from repro.stats.memory import MemoryReport, index_memory_report
-from repro.stats.timing import Timer, repeat_timing
 from repro.stats.uniformity import (
     UniformityReport,
     chi_square_uniformity,
@@ -24,8 +22,6 @@ from repro.stats.uniformity import (
 )
 
 __all__ = [
-    "Timer",
-    "repeat_timing",
     "MemoryReport",
     "index_memory_report",
     "chi_square_uniformity",

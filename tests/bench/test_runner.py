@@ -18,6 +18,8 @@ class TestRegistry:
             "fig7",
             "fig8",
             "fig9",
+            "bucketcap",
+            "crossover",
             "accuracy",
             "uniformity",
             "vecspeed",

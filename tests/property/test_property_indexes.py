@@ -1,4 +1,4 @@
-"""Property-based tests for the spatial indexes (kd-tree, range tree, grid).
+"""Property-based tests for the spatial indexes (kd-tree, grid).
 
 One shared strategy generates random point clouds and random query windows;
 the property under test is always the same: every index agrees exactly with
@@ -14,7 +14,6 @@ from repro.geometry.predicates import count_in_rect
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.kdtree.tree import KDTree
-from repro.rangetree.tree import RangeTree2D
 
 coordinate = st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False, allow_infinity=False)
 
@@ -58,14 +57,6 @@ class TestKDTreeProperties:
         else:
             assert position is not None
             assert rect.contains(float(points.xs[position]), float(points.ys[position]))
-
-
-class TestRangeTreeProperties:
-    @given(points=point_cloud(max_size=80), rect=query_rect())
-    @settings(max_examples=60, deadline=None)
-    def test_count_matches_brute_force(self, points, rect):
-        tree = RangeTree2D(points, leaf_size=4)
-        assert tree.count(rect) == count_in_rect(points, rect)
 
 
 class TestGridProperties:

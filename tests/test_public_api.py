@@ -29,7 +29,6 @@ class TestPublicExports:
             "repro.grid",
             "repro.kdtree",
             "repro.bbst",
-            "repro.rangetree",
             "repro.core",
             "repro.datasets",
             "repro.stats",
