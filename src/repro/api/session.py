@@ -40,19 +40,25 @@ consume no randomness.  The differential tests in ``tests/api`` pin this.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import threading
 import time
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.api.planner import PlanReport, plan_algorithm
 from repro.artifacts import attach_sampler_artifact, save_sampler_artifact
-from repro.core.base import JoinSampler, JoinSampleResult, SamplePair, resolve_rng
+from repro.core.base import (
+    JoinSampler,
+    JoinSampleResult,
+    SamplePair,
+    resolve_rng,
+    validate_seed,
+)
 from repro.core.config import JoinSpec
 from repro.core.registry import canonical_name, get_sampler
 from repro.core.validation import validate_half_extent, validate_jobs
@@ -107,19 +113,14 @@ class SessionStats:
     warm_loads: int = 0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "pairs_drawn": self.pairs_drawn,
-            "prepare_hits": self.prepare_hits,
-            "prepare_misses": self.prepare_misses,
-            "prepare_seconds": self.prepare_seconds,
-            "sample_seconds": self.sample_seconds,
-            "plans": self.plans,
-            "updates": self.updates,
-            "update_seconds": self.update_seconds,
-            "evictions": self.evictions,
-            "warm_loads": self.warm_loads,
-        }
+        return asdict(self)
+
+
+def _close_sampler(sampler: JoinSampler) -> None:
+    """Release what a sampler holds beyond memory (a sharded engine's workers)."""
+    closer = getattr(sampler, "close", None)
+    if callable(closer):
+        closer()
 
 
 @dataclass
@@ -138,6 +139,10 @@ class _CacheEntry:
     prepare_seconds: float = 0.0
     last_used: float = 0.0
     pins: int = 0
+
+    def guard(self) -> contextlib.AbstractContextManager[Any]:
+        """The entry lock, or a no-op context for a sharded entry."""
+        return self.lock if self.lock is not None else contextlib.nullcontext()
 
 
 class SamplingSession:
@@ -221,10 +226,7 @@ class SamplingSession:
         # cheap strided spot fingerprint on every request; update() and cold
         # entry builds verify the exhaustive one.  Mutating a PointSet behind
         # the session's back therefore raises instead of serving stale draws.
-        self._fingerprints = {
-            "full": (r_points.fingerprint(), s_points.fingerprint()),
-            "spot": (r_points.spot_fingerprint(), s_points.spot_fingerprint()),
-        }
+        self._refresh_fingerprints()
         self._default_half_extent = validate_half_extent(half_extent)
         self._default_algorithm = self._check_algorithm(algorithm)
         self._default_jobs = self._check_jobs(jobs)
@@ -447,11 +449,8 @@ class SamplingSession:
         effective_jobs = self._resolve_jobs(jobs, spec.half_extent)
         key = (name, spec.half_extent, effective_jobs)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._pin_cached(key)
             if entry is not None:
-                self.stats.prepare_hits += 1
-                entry.pins += 1
-                entry.last_used = time.monotonic()
                 return entry
             build_lock = self._build_locks.setdefault(key, make_lock("session-build"))
         # Build outside the session lock: a cold-key prepare can take seconds
@@ -460,77 +459,114 @@ class SamplingSession:
         # on the per-key build lock; the loser finds the entry cached.
         with build_lock:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self.stats.prepare_hits += 1
-                    entry.pins += 1
-                    entry.last_used = time.monotonic()
-                    return entry
+                entry = self._pin_cached(key)
+            if entry is not None:
+                return entry
             self._check_inputs_fresh(full=True)
-            warm = self._try_load_entry(key, spec)
-            if warm is not None:
-                with self._lock:
-                    if self._closed:
-                        closer = getattr(warm.sampler, "close", None)
-                        if callable(closer):
-                            closer()
-                        raise SessionClosedError("the sampling session is closed")
-                    self._entries[key] = warm
-                    self.stats.warm_loads += 1
-                    self.stats.prepare_seconds += warm.prepare_seconds
-                return warm
-            if effective_jobs > 1:
-                sampler: JoinSampler = ShardedSampler(
-                    spec,
-                    algorithm=name,
-                    jobs=effective_jobs,
-                    sampler_options=self._sampler_options,
-                    pool=self._pool,
-                    owner=self._owner,
-                )
-                entry_lock = None  # sharded samplers lock per shard
-            elif get_sampler(name).supports_updates:
-                # Maintainable algorithms are served through the dynamic
-                # wrapper, so SamplingSession.update() can patch their
-                # structures in place instead of dropping the cache entry.
-                # Before the first update the wrapper is a pure pass-through
-                # (draws are bit-identical to the plain sampler).
-                sampler = DynamicSampler(spec, algorithm=name, **self._sampler_options)
-                entry_lock = make_lock("entry")
-            else:
-                sampler = get_sampler(name).create(spec, **self._sampler_options)
-                entry_lock = make_lock("entry")
-            prepare_timings = sampler.prepare()
-            prepare_seconds = (
-                prepare_timings.preprocess_seconds + prepare_timings.total_seconds
-            )
-            entry = _CacheEntry(
-                sampler=sampler,
-                spec=spec,
-                lock=entry_lock,
-                nbytes=sampler.index_nbytes(),
-                prepare_seconds=prepare_seconds,
-                last_used=time.monotonic(),
-                pins=1,
-            )
+            artifact = self._artifact_path(key)
+            entry = self._new_entry(key, spec, artifact)
             with self._lock:
                 if self._closed:
                     # The session closed while this key was being built;
                     # do not cache (and do not leak resident workers).
-                    closer = getattr(sampler, "close", None)
-                    if callable(closer):
-                        closer()
+                    _close_sampler(entry.sampler)
                     raise SessionClosedError("the sampling session is closed")
                 self._entries[key] = entry
-                self.stats.prepare_misses += 1
-                self.stats.prepare_seconds += prepare_seconds
+                if artifact is None:
+                    self.stats.prepare_misses += 1
+                else:
+                    self.stats.warm_loads += 1
+                self.stats.prepare_seconds += entry.prepare_seconds
             return entry
+
+    def _pin_cached(self, key: tuple[str, float, int]) -> _CacheEntry | None:
+        """Pin and return the cached entry of ``key`` (the session lock is held)."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.stats.prepare_hits += 1
+            entry.pins += 1
+            entry.last_used = time.monotonic()
+        return entry
+
+    def _new_entry(
+        self, key: tuple[str, float, int], spec: JoinSpec, artifact: str | None
+    ) -> _CacheEntry:
+        """Construct the sampler of a cold key, then prepare it or attach ``artifact``.
+
+        ``jobs >= 2`` keys are served by the shard-parallel engine, which
+        locks per shard, so its entry carries no lock.  Maintainable
+        algorithms are served through the dynamic wrapper, so
+        :meth:`update` can patch their structures in place instead of
+        dropping the entry; before the first update the wrapper is a pure
+        pass-through (draws are bit-identical to the plain sampler).  A
+        recorded artifact that fails to attach raises its typed
+        :class:`~repro.errors.ArtifactError` - a stale or corrupt artifact
+        must never silently degrade into a rebuild with different state.
+        """
+        name, _half_extent, jobs = key
+        start = time.perf_counter()
+        sampler: JoinSampler
+        if jobs > 1:
+            sampler = ShardedSampler(
+                spec,
+                algorithm=name,
+                jobs=jobs,
+                sampler_options=self._sampler_options,
+                pool=self._pool,
+                owner=self._owner,
+            )
+        elif get_sampler(name).supports_updates:
+            sampler = DynamicSampler(spec, algorithm=name, **self._sampler_options)
+        else:
+            sampler = get_sampler(name).create(spec, **self._sampler_options)
+        try:
+            if artifact is None:
+                timings = sampler.prepare()
+                prepare_seconds = timings.preprocess_seconds + timings.total_seconds
+            else:
+                if isinstance(sampler, ShardedSampler):
+                    sampler.attach_artifact(artifact)
+                else:
+                    attach_sampler_artifact(sampler, artifact)
+                prepare_seconds = time.perf_counter() - start
+        except BaseException:
+            _close_sampler(sampler)
+            raise
+        return _CacheEntry(
+            sampler=sampler,
+            spec=spec,
+            lock=None if jobs > 1 else make_lock("entry"),
+            nbytes=sampler.index_nbytes(),
+            prepare_seconds=prepare_seconds,
+            last_used=time.monotonic(),
+            pins=1,
+        )
 
     def _release_entry(self, entry: _CacheEntry) -> None:
         """Unpin an entry returned by :meth:`_resolve_entry`."""
         with self._lock:
             entry.pins = max(0, entry.pins - 1)
             entry.last_used = time.monotonic()
+
+    @contextlib.contextmanager
+    def _pinned(
+        self,
+        algorithm: str | None,
+        half_extent: float | None,
+        jobs: int | None,
+    ) -> Iterator[JoinSampler]:
+        """Resolve and pin a key's entry and hold its lock around the body.
+
+        Serial entries serialise their draws on the entry lock; sharded
+        entries lock per shard internally and get a no-op context, so
+        concurrent requests can proceed on disjoint shards.
+        """
+        entry = self._resolve_entry(algorithm, half_extent, jobs)
+        try:
+            with entry.guard():
+                yield entry.sampler
+        finally:
+            self._release_entry(entry)
 
     # ------------------------------------------------------------------
     # External cache ownership (what the manager drives)
@@ -579,9 +615,7 @@ class SamplingSession:
             self.stats.evictions += 1
         # Close outside the session lock: a sharded entry releases worker
         # leases, which must not serialise against concurrent draws.
-        closer = getattr(entry.sampler, "close", None)
-        if callable(closer):
-            closer()
+        _close_sampler(entry.sampler)
         return True
 
     def prepare(
@@ -675,57 +709,12 @@ class SamplingSession:
             mapping[key] = row["dir"]
         self._artifact_entries = mapping
 
-    def _try_load_entry(
-        self, key: tuple[str, float, int], spec: JoinSpec
-    ) -> _CacheEntry | None:
-        """Attach one cold key's artifact from the warm-start directory.
-
-        Returns ``None`` when no artifact is recorded for the key.  A
-        recorded artifact that fails to attach raises its typed
-        :class:`~repro.errors.ArtifactError` - a stale or corrupt artifact
-        must never silently degrade into a rebuild with different state.
-        """
+    def _artifact_path(self, key: tuple[str, float, int]) -> str | None:
+        """The warm-start artifact recorded for a cold key (``None`` when none is)."""
         if self._artifact_dir is None:
             return None
         relative = self._artifact_entries.get(key)
-        if relative is None:
-            return None
-        directory = os.path.join(self._artifact_dir, relative)
-        name, _half_extent, jobs = key
-        start = time.perf_counter()
-        if jobs > 1:
-            sharded = ShardedSampler(
-                spec,
-                algorithm=name,
-                jobs=jobs,
-                sampler_options=self._sampler_options,
-                pool=self._pool,
-                owner=self._owner,
-            )
-            try:
-                sharded.attach_artifact(directory)
-            except BaseException:
-                sharded.close()
-                raise
-            sampler: JoinSampler = sharded
-            entry_lock = None
-        elif get_sampler(name).supports_updates:
-            sampler = DynamicSampler(spec, algorithm=name, **self._sampler_options)
-            attach_sampler_artifact(sampler, directory)
-            entry_lock = make_lock("entry")
-        else:
-            sampler = get_sampler(name).create(spec, **self._sampler_options)
-            attach_sampler_artifact(sampler, directory)
-            entry_lock = make_lock("entry")
-        return _CacheEntry(
-            sampler=sampler,
-            spec=spec,
-            lock=entry_lock,
-            nbytes=sampler.index_nbytes(),
-            prepare_seconds=time.perf_counter() - start,
-            last_used=time.monotonic(),
-            pins=1,
-        )
+        return None if relative is None else os.path.join(self._artifact_dir, relative)
 
     def save(self, path: str | os.PathLike[str] | None = None) -> str:
         """Persist every prepared cache entry plus the session manifest.
@@ -758,11 +747,9 @@ class SamplingSession:
                 sampler = entry.sampler
                 if isinstance(sampler, ShardedSampler):
                     sampler.save_artifact(directory)
-                elif entry.lock is not None:
-                    with entry.lock:
+                else:
+                    with entry.guard():
                         save_sampler_artifact(sampler, directory)
-                else:  # pragma: no cover - serial entries always carry a lock
-                    save_sampler_artifact(sampler, directory)
                 rows.append(
                     {
                         "algorithm": key[0],
@@ -901,15 +888,8 @@ class SamplingSession:
         jobs)`` key the reported build/count timings are ~0.
         """
         rng = resolve_rng(rng, seed)
-        entry = self._resolve_entry(algorithm, half_extent, jobs)
-        try:
-            if entry.lock is not None:
-                with entry.lock:
-                    result = entry.sampler.sample(t, rng=rng)
-            else:
-                result = entry.sampler.sample(t, rng=rng)
-        finally:
-            self._release_entry(entry)
+        with self._pinned(algorithm, half_extent, jobs) as sampler:
+            result = sampler.sample(t, rng=rng)
         self._record_result(result)
         return result
 
@@ -925,15 +905,8 @@ class SamplingSession:
     ) -> JoinSampleResult:
         """``t`` *distinct* join pairs (the without-replacement extension)."""
         rng = resolve_rng(rng, seed)
-        entry = self._resolve_entry(algorithm, half_extent, jobs)
-        try:
-            if entry.lock is not None:
-                with entry.lock:
-                    result = entry.sampler.sample_without_replacement(t, rng=rng)
-            else:
-                result = entry.sampler.sample_without_replacement(t, rng=rng)
-        finally:
-            self._release_entry(entry)
+        with self._pinned(algorithm, half_extent, jobs) as sampler:
+            result = sampler.sample_without_replacement(t, rng=rng)
         self._record_result(result)
         return result
 
@@ -958,27 +931,17 @@ class SamplingSession:
         serves every request without replacement (the ``draw_distinct``
         twin).
         """
-        for t, _seed in requests:
+        for t, seed in requests:
             if t < 0:
                 raise InvalidSpecError("every batched t must be non-negative")
+            validate_seed(seed)
         if not requests:
             return []
-        results: list[JoinSampleResult] = []
-        entry = self._resolve_entry(algorithm, half_extent, jobs)
-        try:
-            sampler = entry.sampler
+        with self._pinned(algorithm, half_extent, jobs) as sampler:
             draw_one = (
                 sampler.sample_without_replacement if distinct else sampler.sample
             )
-            if entry.lock is not None:
-                with entry.lock:
-                    for t, seed in requests:
-                        results.append(draw_one(t, rng=resolve_rng(None, seed)))
-            else:
-                for t, seed in requests:
-                    results.append(draw_one(t, rng=resolve_rng(None, seed)))
-        finally:
-            self._release_entry(entry)
+            results = [draw_one(t, rng=resolve_rng(None, seed)) for t, seed in requests]
         for result in results:
             self._record_result(result)
         return results
@@ -1022,15 +985,8 @@ class SamplingSession:
             while remaining is None or remaining > 0:
                 self._check_open()
                 size = chunk_size if remaining is None else min(chunk_size, remaining)
-                entry = self._resolve_entry(algorithm, half_extent, jobs)
-                try:
-                    if entry.lock is not None:
-                        with entry.lock:
-                            result = entry.sampler.sample(size, rng=rng)
-                    else:
-                        result = entry.sampler.sample(size, rng=rng)
-                finally:
-                    self._release_entry(entry)
+                with self._pinned(algorithm, half_extent, jobs) as sampler:
+                    result = sampler.sample(size, rng=rng)
                 self._record_result(result)
                 yield result.pairs
                 if remaining is not None:
@@ -1159,9 +1115,7 @@ class SamplingSession:
                         entry.nbytes = sampler.index_nbytes()
                         resharded.append(key)
                     else:
-                        closer = getattr(sampler, "close", None)
-                        if callable(closer):
-                            closer()
+                        _close_sampler(sampler)
                         del self._entries[key]
                         # Dropped entries take their per-key build lock with
                         # them: the lock map would otherwise grow by one dead
@@ -1173,12 +1127,8 @@ class SamplingSession:
                     # session half-updated.  Drop the entry (it rebuilds
                     # lazily from the new data on the next request) and keep
                     # the remaining engines consistent.
-                    closer = getattr(sampler, "close", None)
-                    if callable(closer):
-                        try:
-                            closer()
-                        except Exception:  # pragma: no cover - best effort
-                            pass
+                    with contextlib.suppress(Exception):  # best effort
+                        _close_sampler(sampler)
                     self._entries.pop(key, None)
                     self._build_locks.pop(key, None)
                     dropped.append(key)
@@ -1238,9 +1188,7 @@ class SamplingSession:
         """
         with self._lock:
             for entry in self._entries.values():
-                closer = getattr(entry.sampler, "close", None)
-                if callable(closer):
-                    closer()
+                _close_sampler(entry.sampler)
             self._entries.clear()
             self._plans.clear()
             self._specs.clear()

@@ -16,6 +16,7 @@ sharded artifacts) lives with its owners in :mod:`repro.api.session`,
 from repro.artifacts.spec import (
     ArtifactSpec,
     attach_sampler_artifact,
+    load_sampler_artifact,
     pack_alias,
     prefixed,
     prepared_state_kinds,
@@ -42,6 +43,7 @@ __all__ = [
     "artifact_nbytes",
     "attach_sampler_artifact",
     "load_artifact",
+    "load_sampler_artifact",
     "pack_alias",
     "prefixed",
     "prepared_state_kinds",

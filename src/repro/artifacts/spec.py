@@ -24,7 +24,6 @@ twins).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, ClassVar, Protocol, runtime_checkable
@@ -34,7 +33,6 @@ import numpy as np
 from repro.alias.walker import AliasTable
 from repro.artifacts.store import load_artifact, write_artifact
 from repro.errors import ArtifactCorruptError, ArtifactVersionError
-from repro.kernels import PROFILER
 
 __all__ = [
     "ArtifactSpec",
@@ -48,6 +46,7 @@ __all__ = [
     "select_prefix",
     "unpack_alias",
     "attach_sampler_artifact",
+    "load_sampler_artifact",
 ]
 
 
@@ -222,20 +221,29 @@ def save_sampler_artifact(
 def attach_sampler_artifact(sampler: Any, path: str | Path) -> dict[str, Any]:
     """Adopt an on-disk artifact into a fresh sampler (zero-copy attach).
 
-    Validates the artifact's prepared-state kind/schema against the
-    sampler's declared ones and the saved instance shape against the
-    sampler's spec, then hands the memmapped arrays to
-    ``sampler.adopt_prepared_arrays``.  Returns the manifest meta.  Records
-    the wall-clock cost under the profiler's ``load`` phase, so ``--profile``
-    reports distinguish warm attach from rebuild.
+    Loads and checks the artifact with :func:`load_sampler_artifact`, then
+    hands the memmapped arrays to ``sampler.adopt_prepared_arrays``.
+    Returns the manifest meta.
     """
-    start = time.perf_counter()
     adopter = getattr(sampler, "adopt_prepared_arrays", None)
     if adopter is None:
         raise ArtifactCorruptError(
             f"sampler {getattr(sampler, 'name', sampler)!r} does not support "
             "prepared-state artifacts"
         )
+    meta, arrays = load_sampler_artifact(sampler, path)
+    adopter(meta, arrays)
+    return meta
+
+
+def load_sampler_artifact(
+    sampler: Any, path: str | Path
+) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Load an artifact written for ``sampler``: ``(meta, memmapped arrays)``.
+
+    The artifact's kind/schema must be the sampler's declared ones and its
+    saved instance shape ``(n, m, half_extent)`` that of the sampler's spec.
+    """
     meta, arrays = load_artifact(path)
     context = str(Path(path))
     kind = meta.get("kind")
@@ -264,7 +272,4 @@ def attach_sampler_artifact(sampler: Any, path: str | Path) -> dict[str, Any]:
             f"{context}: artifact was built for (n, m, half_extent)="
             f"{saved_shape}, the sampler's spec is {live_shape}"
         )
-    adopter(meta, arrays)
-    if PROFILER.enabled:
-        PROFILER.add("load", time.perf_counter() - start)
-    return meta
+    return meta, arrays

@@ -342,8 +342,7 @@ def run_kernel_speedup(
     bought with a different draw stream.  Each side pays one small warm-up
     draw first (which is where the numba side JIT-compiles), then the
     measured draw; ``sampling_seconds`` is the measured draw's sampling
-    phase only (build/count are cached by ``prepare()``).  The per-phase
-    ``draw`` / ``refill`` breakdown comes from the kernel profiler.
+    phase only (build/count are cached by ``prepare()``).
 
     When numba is not installed the numpy side still runs (so the experiment
     reports a baseline) and the numba columns are zeroed with
@@ -354,7 +353,6 @@ def run_kernel_speedup(
     """
     del workloads, datasets  # pinned workload; see docstring
     from repro.kernels import numba_available
-    from repro.kernels.profiling import PROFILER
 
     chosen = tuple(sizes) if sizes is not None else _KERNEL_SCALE_SIZES[scale]
     have_numba = numba_available()
@@ -365,18 +363,7 @@ def run_kernel_speedup(
         # Warm-up draw: JIT compilation on the numba side; mirrored on the
         # numpy side so both backends enter the measured draw equally warm.
         sampler.sample(min(t, 1_000), seed=seed + 1)
-        was_enabled = PROFILER.enabled
-        PROFILER.enable()
-        PROFILER.reset()
-        result = sampler.sample(t, seed=seed)
-        phases = PROFILER.snapshot()
-        PROFILER.reset()
-        if not was_enabled:
-            PROFILER.disable()
-        return result, phases
-
-    def phase_seconds(phases: dict, key: str) -> float:
-        return float(phases.get(key, {}).get("seconds", 0.0))
+        return sampler.sample(t, seed=seed)
 
     rows: list[Row] = []
     for size in chosen:
@@ -393,7 +380,7 @@ def run_kernel_speedup(
             else num_samples
         )
         for name in algorithms:
-            numpy_result, numpy_phases = timed_run(name, spec, t, "numpy")
+            numpy_result = timed_run(name, spec, t, "numpy")
             numpy_seconds = numpy_result.timings.sample_seconds
             row: Row = {
                 "dataset": dataset,
@@ -403,20 +390,14 @@ def run_kernel_speedup(
                 "t": t,
                 "numba_available": have_numba,
                 "numpy_sampling_seconds": numpy_seconds,
-                "numpy_draw_seconds": phase_seconds(numpy_phases, "draw"),
-                "numpy_refill_seconds": phase_seconds(numpy_phases, "refill"),
                 "numba_sampling_seconds": 0.0,
-                "numba_draw_seconds": 0.0,
-                "numba_refill_seconds": 0.0,
                 "speedup": 0.0,
                 "match": False,
             }
             if have_numba:
-                numba_result, numba_phases = timed_run(name, spec, t, "numba")
+                numba_result = timed_run(name, spec, t, "numba")
                 numba_seconds = numba_result.timings.sample_seconds
                 row["numba_sampling_seconds"] = numba_seconds
-                row["numba_draw_seconds"] = phase_seconds(numba_phases, "draw")
-                row["numba_refill_seconds"] = phase_seconds(numba_phases, "refill")
                 row["speedup"] = numpy_seconds / max(numba_seconds, 1e-9)
                 row["match"] = [
                     p.as_index_tuple() for p in numba_result.pairs

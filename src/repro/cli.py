@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument(
         "--profile",
         action="store_true",
-        help="record per-phase sampling timings (build/count/refill/draw) "
-        "and print them after the requests",
+        help="print the session's phase seconds (prepare, or load when "
+        "attached from --artifact, and sample) after the requests",
     )
     sample.add_argument("--output", type=Path, default=None, help="write pairs as CSV")
     sample.add_argument(
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--profile",
         action="store_true",
-        help="record per-phase timings (build/count/...) and print them",
+        help="print the prepare phase seconds after the build",
     )
     build.add_argument(
         "--artifact",
@@ -448,15 +448,16 @@ def _open_warm_session(args: argparse.Namespace) -> SamplingSession:
     )
 
 
-def _print_profile(profiler) -> None:
-    snapshot = profiler.snapshot()
-    profiler.disable()
-    if snapshot:
-        print("profile (seconds per phase):")
-        for phase, row in sorted(snapshot.items()):
-            print(f"  {phase:8s} {row['seconds']:.6f}s over {row['calls']} calls")
+def _print_profile(session: SamplingSession) -> None:
+    """Phase seconds from the session's stats (``load`` after an artifact attach)."""
+    stats = session.stats
+    print("profile (seconds per phase):")
+    if stats.warm_loads:
+        print(f"  load     {stats.prepare_seconds:.6f}s (artifact attach, no rebuild)")
     else:
-        print("profile: no instrumented phases ran")
+        print(f"  prepare  {stats.prepare_seconds:.6f}s (offline + build + count)")
+    if stats.requests:
+        print(f"  sample   {stats.sample_seconds:.6f}s over {stats.requests} requests")
 
 
 def _command_sample(args: argparse.Namespace) -> int:
@@ -467,11 +468,7 @@ def _command_sample(args: argparse.Namespace) -> int:
         print("error: --jobs must be >= 0", file=sys.stderr)
         return 2
     from repro.errors import ArtifactError, KernelBackendError
-    from repro.kernels import PROFILER
 
-    if args.profile:
-        PROFILER.enable()
-        PROFILER.reset()
     try:
         if args.artifact is not None:
             session = _open_warm_session(args)
@@ -542,7 +539,7 @@ def _command_sample(args: argparse.Namespace) -> int:
             f"entries attached from disk (no rebuild)"
         )
     if args.profile:
-        _print_profile(PROFILER)
+        _print_profile(session)
     if result is None:
         return 0
     if args.output is not None:
@@ -563,14 +560,10 @@ def _command_build(args: argparse.Namespace) -> int:
 
     from repro.datasets.loaders import save_points_npy
     from repro.errors import ArtifactError, KernelBackendError
-    from repro.kernels import PROFILER
 
     if args.jobs is not None and args.jobs < 0:
         print("error: --jobs must be >= 0", file=sys.stderr)
         return 2
-    if args.profile:
-        PROFILER.enable()
-        PROFILER.reset()
     try:
         session = _open_session(args)
     except KernelBackendError as exc:
@@ -608,10 +601,10 @@ def _command_build(args: argparse.Namespace) -> int:
             "attach it with: sample/serve --dataset "
             f"{args.dataset} --artifact {args.artifact}"
         )
+        if args.profile:
+            _print_profile(session)
     finally:
         session.close()
-    if args.profile:
-        _print_profile(PROFILER)
     return 0
 
 

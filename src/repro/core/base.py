@@ -1,32 +1,42 @@
 """Common sampler interface, results and phase-decomposed timings.
 
-All four join samplers (the two baselines, the proposed BBST algorithm and
-its per-cell kd-tree ablation) share the life-cycle the paper evaluates:
+All join samplers (the two baselines, the proposed BBST algorithm, its
+per-cell kd-tree ablation and join-then-sample) share the life-cycle the
+paper evaluates, and :class:`JoinSampler` runs it once for all of them:
 
 1. ``preprocess()`` - the *offline* step reported in Table II (building the
    kd-tree for the baselines, pre-sorting ``S`` for BBST).
 2. ``sample(t)`` - the *online* run reported in Tables III/IV and every
-   figure, decomposed into the build (grid-mapping / structure building),
-   counting (upper-bounding) and sampling phases.
+   figure: the build (GM: grid mapping / structure building) and counting
+   (UB: upper-bounding) phases run once and their prepared state is cached,
+   then the sampling phase draws ``t`` pairs.
 
 Results carry the drawn pairs, the per-phase wall-clock times, the number of
 sampling iterations (accepted + rejected attempts) and algorithm-specific
 metadata such as ``sum_mu`` so that the experiment harness can reproduce the
 paper's tables without re-instrumenting the algorithms.
+:class:`PersistentJoinSampler` adds the artifact export/adopt of that
+prepared state.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar, Protocol
 
 import numpy as np
 
+from repro.artifacts.spec import ArtifactSpec, prefixed, select_prefix
 from repro.core.config import JoinSpec
-from repro.errors import InvalidSpecError, SamplingExhaustedError
+from repro.errors import (
+    ArtifactCorruptError,
+    ArtifactError,
+    InvalidSpecError,
+    SamplingExhaustedError,
+)
 
 if TYPE_CHECKING:
     from repro.kernels import KernelSet
@@ -36,8 +46,11 @@ __all__ = [
     "PhaseTimings",
     "JoinSampleResult",
     "JoinSampler",
+    "PersistentJoinSampler",
+    "PreparedState",
     "build_sample_pairs",
     "resolve_rng",
+    "validate_seed",
 ]
 
 
@@ -47,16 +60,27 @@ def resolve_rng(
     """Resolve the ``rng`` / ``seed`` pair every sampling entry point accepts.
 
     Exactly one source of randomness is allowed: an explicit generator, a
-    seed, or neither (a fresh default generator).  Passing both raises
-    ``ValueError`` - the shared validation of ``sample()``,
-    ``sample_without_replacement()``, ``stream_samples()`` and the session
-    API's ``draw()`` / ``stream()``.
+    seed, or neither (a fresh default generator).  Passing both, or a
+    negative seed, raises :class:`~repro.errors.InvalidSpecError` - the
+    shared validation of ``sample()``, ``sample_without_replacement()``,
+    ``stream_samples()`` and the session API's ``draw()`` / ``stream()``.
     """
     if rng is not None and seed is not None:
         raise InvalidSpecError("pass either rng or seed, not both")
     if rng is None:
+        validate_seed(seed)
         return np.random.default_rng(seed)
     return rng
+
+
+def validate_seed(seed: int | None) -> None:
+    """Reject a negative seed before it reaches ``np.random.default_rng``.
+
+    The service checks every request's seed with this at admission, so a bad
+    seed fails its own request instead of the coalesced batch it joins.
+    """
+    if seed is not None and seed < 0:
+        raise InvalidSpecError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,31 +194,64 @@ def build_sample_pairs(
     ]
 
 
+class PreparedState(Protocol):
+    """The count-phase output :meth:`JoinSampler._count` returns.
+
+    :class:`JoinSampler` caches it across ``sample()`` calls; the concrete
+    classes are plain dataclasses of arrays, so a prepared sampler pickles
+    to shard workers and (for :class:`PersistentJoinSampler`) round-trips
+    through an artifact.
+    """
+
+    @property
+    def is_empty(self) -> bool:
+        """Whether the count phase left nothing to draw from (``|J| = 0``)."""
+        ...  # pragma: no cover - protocol
+
+    def result_metadata(self) -> dict[str, Any]:
+        """The count figures every result reports (``sum_mu`` or ``join_size``)."""
+        ...  # pragma: no cover - protocol
+
+
 class JoinSampler(abc.ABC):
     """Abstract base class of every join sampling algorithm.
 
-    Subclasses implement :meth:`_preprocess_impl` (offline step) and
-    :meth:`_sample_impl` (online phases); this base class handles timing of
-    the offline step, seeding, and argument validation so that all samplers
-    report comparable numbers.
+    This class runs the whole sampler life-cycle, so every sampler reports
+    comparable numbers.  A concrete sampler implements the offline step
+    (:meth:`_preprocess_impl`) and three online hooks:
 
-    Two knobs configure the batch-sampling engine shared by the concrete
-    samplers (see :mod:`repro.core.batching`):
+    * :meth:`_build` - the GM phase (only when :attr:`has_build_phase`);
+    * :meth:`_count` - the UB phase, returning the :class:`PreparedState`
+      this class caches, so later ``sample()`` calls skip both phases;
+    * :meth:`_draw` - the sampling phase: ``t`` pairs as positional index
+      arrays plus the attempts it took.
 
-    * ``batch_size`` pins the number of attempts pre-drawn per sampling
+    :meth:`_sample_impl` times GM, UB and sampling into
+    :class:`PhaseTimings`, raises the empty-join
+    :class:`~repro.errors.InvalidSpecError` and builds the
+    :class:`JoinSampleResult`.  Samplers that wrap other samplers (the
+    sharded and dynamic engines) override :meth:`_sample_impl` instead.
+
+    Three knobs configure the draw hooks (see :mod:`repro.core.batching`):
+
+    * ``batch_size`` pins the number of attempts pre-drawn per rejection
       round (``None`` sizes rounds adaptively from the observed acceptance
       rate; ``1`` reproduces one-attempt-at-a-time draw scheduling);
     * ``vectorized`` selects the numpy round processor (default) or the
-      scalar per-attempt loop over the same pre-drawn variates, kept as an
-      escape hatch for differential testing.
-
-    A third knob, ``backend``, selects the kernel implementation the
-    vectorized round processors call (``"numpy" | "numba" | "auto"``, see
-    :mod:`repro.kernels`).  The backend is resolved to a concrete name at
-    construction; because both backends are bit-identical (including RNG
-    consumption order), it never changes which pairs are drawn - only how
-    fast.
+      scalar per-attempt twin over the same pre-drawn variates, the
+      reference the differential tests compare against;
+    * ``backend`` selects the kernel implementation the vectorized round
+      processors call (``"numpy" | "numba" | "auto"``, see
+      :mod:`repro.kernels`).  It is resolved to a concrete name at
+      construction; the backends are bit-identical (including RNG
+      consumption order), so it changes how fast pairs are drawn, never
+      which.
     """
+
+    #: Whether the sampler has an online structure-building (GM) phase.
+    #: Samplers without one (KDS, join-then-sample) report
+    #: ``build_seconds == 0.0``, the empty GM column of Table III.
+    has_build_phase: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -216,6 +273,9 @@ class JoinSampler(abc.ABC):
         self._kernel_backend = resolve_backend(backend)
         self._preprocessed = False
         self._preprocess_seconds = 0.0
+        # The cached count-phase output (a PreparedState): set by the first
+        # sample() / prepare() call, or adopted from an artifact.
+        self._prepared: Any = None
 
     # ------------------------------------------------------------------
     @property
@@ -317,8 +377,8 @@ class JoinSampler(abc.ABC):
         return self._preprocessed and self._has_online_state()
 
     def _has_online_state(self) -> bool:
-        """Whether the subclass has cached its build/count results."""
-        return False
+        """Whether the build/count results are cached."""
+        return self._prepared is not None
 
     def rebind_spec(self, spec: JoinSpec) -> None:
         """Point the sampler at a new join instance *without* resetting state.
@@ -419,6 +479,134 @@ class JoinSampler(abc.ABC):
     def _preprocess_impl(self) -> None:
         """Offline preprocessing (build the kd-tree / pre-sort ``S``)."""
 
-    @abc.abstractmethod
     def _sample_impl(self, t: int, rng: np.random.Generator) -> JoinSampleResult:
-        """Online phases producing the sample result (``t >= 0``)."""
+        """The online phases producing the sample result (``t >= 0``)."""
+        timings = PhaseTimings()
+        if self._prepared is None:
+            if self.has_build_phase:
+                start = time.perf_counter()
+                self._build()
+                timings.build_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            self._prepared = self._count()
+            timings.count_seconds = time.perf_counter() - start
+        state = self._prepared
+        if t > 0 and state.is_empty:
+            raise InvalidSpecError(
+                "the spatial range join is empty; no samples can be drawn"
+            )
+        start = time.perf_counter()
+        pairs: list[SamplePair] = []
+        iterations = 0
+        if t > 0:
+            r_indices, s_indices, iterations = self._draw(state, t, rng)
+            pairs = build_sample_pairs(self.spec, r_indices, s_indices)
+        timings.sample_seconds = time.perf_counter() - start
+        return JoinSampleResult(
+            sampler_name=self.name,
+            requested=t,
+            pairs=pairs,
+            timings=timings,
+            iterations=iterations,
+            metadata=state.result_metadata(),
+        )
+
+    def _build(self) -> None:
+        """Online structure building over ``S`` (the GM column)."""
+
+    def _count(self) -> PreparedState:
+        """Counting / upper-bounding (the UB column): the state to cache."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement _count")
+
+    def _draw(
+        self, state: Any, t: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The sampling phase over a non-empty ``state`` (``t >= 1``).
+
+        Returns the drawn pairs' positional ``(r_indices, s_indices)`` and
+        the number of attempts (accepted plus rejected) they took.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not implement _draw")
+
+
+class PersistentJoinSampler(JoinSampler):
+    """A sampler whose prepared state persists as an artifact (warm start).
+
+    The export/adopt glue every persistent sampler shares: the
+    :class:`~repro.artifacts.ArtifactSpec` state named by
+    :attr:`state_class` is exported with the sampler's ``kind`` / ``schema``
+    identity, and adopted back after the cheap offline step, with its
+    arrays checked to cover the spec's outer points.  Samplers whose
+    artifact carries more than the state (the grid family's cell ids, grid
+    views and buckets) override :meth:`_export_extra` and
+    :meth:`_adopt_extra`.
+    """
+
+    #: The prepared-state class :meth:`_count` returns.
+    state_class: ClassVar[type[ArtifactSpec]]
+
+    #: Artifact payload identity of the sampler's prepared state.
+    artifact_kind: ClassVar[str]
+    artifact_schema: ClassVar[int] = 1
+
+    #: Namespace of the state arrays inside the artifact (``None``: unprefixed).
+    state_prefix: ClassVar[str | None] = None
+
+    def export_prepared_arrays(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+        """Decompose the whole prepared state into ``(meta, arrays)``."""
+        if not self.is_prepared:
+            raise ArtifactError(
+                f"sampler {self.name!r} is not prepared; nothing to export"
+            )
+        state_meta, arrays = self._prepared.to_arrays()
+        if self.state_prefix is not None:
+            arrays = prefixed(self.state_prefix, arrays)
+        meta: dict[str, Any] = {
+            "kind": self.artifact_kind,
+            "schema": self.artifact_schema,
+            "state": state_meta,
+        }
+        extra_meta, extra_arrays = self._export_extra()
+        meta.update(extra_meta)
+        arrays.update(extra_arrays)
+        return meta, arrays
+
+    def adopt_prepared_arrays(
+        self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
+    ) -> None:
+        """Attach a persisted prepared state (the warm-start inverse of export).
+
+        Runs the cheap offline step, reassembles the state around the
+        (memmapped) arrays without copying them and installs it; after this
+        the sampler ``is_prepared`` and draws bit-identically to a freshly
+        built twin.
+        """
+        self.preprocess()
+        state_meta = meta.get("state")
+        if not isinstance(state_meta, dict):
+            raise ArtifactCorruptError("artifact meta is missing its 'state' object")
+        state = self.state_class.from_arrays(
+            state_meta,
+            arrays
+            if self.state_prefix is None
+            else select_prefix(arrays, self.state_prefix),
+        )
+        # Every state array (per-point weights, bound rows, alias tables)
+        # holds one row per outer point.
+        for name, array in state.to_arrays()[1].items():
+            if array.shape[:1] != (self.spec.n,):
+                raise ArtifactCorruptError(
+                    f"artifact state array {name!r} has shape {array.shape} "
+                    f"but the spec has {self.spec.n} outer points"
+                )
+        self._adopt_extra(meta, arrays)
+        self._prepared = state
+
+    def _export_extra(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+        """Meta and arrays the artifact carries beyond the prepared state."""
+        return {}, {}
+
+    def _adopt_extra(
+        self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
+    ) -> None:
+        """Restore what :meth:`_export_extra` persisted."""

@@ -16,7 +16,9 @@ the round-level building blocks:
 * :func:`cutoff_at` - truncate a round at the attempt that produced the
   ``needed``-th accepted sample, so iteration counts match the sequential
   semantics;
-* :func:`next_batch_size` - the acceptance-rate refill heuristic.
+* :func:`next_batch_size` - the acceptance-rate refill heuristic;
+* :func:`rejection_rounds` - the round loop of the rejection samplers (BBST,
+  its kd-tree ablation and KDS-rejection), built from the two above.
 
 Both the vectorised and the scalar (``vectorized=False``) sampler paths
 consume the *same* pre-drawn arrays, which is what makes their outputs
@@ -25,9 +27,13 @@ bit-identical and differential testing meaningful.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
+
+from repro.alias.walker import AliasTable, CumulativeTable
+from repro.core.guards import empty_join_guard
+from repro.errors import SamplingExhaustedError
 
 __all__ = [
     "MIN_BATCH",
@@ -39,6 +45,7 @@ __all__ = [
     "select_kth_true",
     "cutoff_at",
     "next_batch_size",
+    "rejection_rounds",
     "window_bounds",
 ]
 
@@ -204,3 +211,48 @@ def next_batch_size(
         rate = max(accepted / attempted, 1.0 / 256.0)
     want = int(np.ceil(_REFILL_SLACK * remaining / rate))
     return int(np.clip(want, MIN_BATCH, MAX_BATCH))
+
+
+def rejection_rounds(
+    t: int,
+    router: AliasTable | CumulativeTable,
+    rng: np.random.Generator,
+    resolve: Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray]],
+    batch_size: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run pre-drawn rejection rounds until ``t >= 1`` attempts are accepted.
+
+    Each round is sized by :func:`next_batch_size` (``batch_size`` pins
+    it), draws its outer picks ``r = router.draw_many(size, rng)`` *first*
+    and then calls ``resolve(r, rng)``, which draws the sampler's uniforms
+    in their fixed order and returns ``(accept, candidate)`` arrays in
+    attempt order.  :func:`cutoff_at` truncates the round at the ``t``-th
+    accept, so the iteration count matches one-attempt-at-a-time semantics.
+    After :func:`~repro.core.guards.empty_join_guard` attempts without a
+    single accept the join is presumed empty and
+    :class:`~repro.errors.SamplingExhaustedError` is raised.
+
+    Returns the accepted attempts' outer picks and candidates (in attempt
+    order) and the number of attempts used.
+    """
+    accepted_r: list[np.ndarray] = []
+    accepted_candidates: list[np.ndarray] = []
+    accepted = 0
+    iterations = 0
+    guard = empty_join_guard(t)
+    while accepted < t:
+        if accepted == 0 and iterations >= guard:
+            raise SamplingExhaustedError(
+                f"no join sample accepted after {iterations} iterations; "
+                "the join result is empty or vanishingly small"
+            )
+        size = next_batch_size(t - accepted, iterations, accepted, batch_size)
+        r = router.draw_many(size, rng)
+        accept, candidates = resolve(r, rng)
+        used, taken = cutoff_at(accept, t - accepted)
+        iterations += used
+        accepted += taken.size
+        if taken.size:
+            accepted_r.append(r[taken])
+            accepted_candidates.append(candidates[taken])
+    return np.concatenate(accepted_r), np.concatenate(accepted_candidates), iterations

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.bbst.join_index import BBSTJoinIndex
 from repro.core.batching import group_blocks, pick_int, pick_int_scalar, ragged_offsets, select_kth_true
-from repro.core.config import JoinSpec
 from repro.core.grid_sampler_base import GridJoinSamplerBase
 from repro.core.registry import register_sampler
 from repro.geometry.point import PointSet
@@ -210,17 +209,6 @@ class CellKDTreeJoinIndex(BBSTJoinIndex):
 )
 class CellKDTreeSampler(GridJoinSamplerBase):
     """Algorithm 1 with per-cell kd-trees (the Fig. 9 comparison variant)."""
-
-    def __init__(
-        self,
-        spec: JoinSpec,
-        batch_size: int | None = None,
-        vectorized: bool = True,
-        backend: str | None = None,
-    ) -> None:
-        super().__init__(
-            spec, batch_size=batch_size, vectorized=vectorized, backend=backend
-        )
 
     @property
     def name(self) -> str:

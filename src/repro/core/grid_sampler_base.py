@@ -20,16 +20,19 @@ Phases
    in ``w(r)``.  Cases 1/2 always accept; case 3 may reject (point outside the
    window, or an empty bucket slot for the BBST).
 
+The three phases are the :meth:`_build`, :meth:`_count` and :meth:`_draw`
+hooks of the life-cycle :class:`~repro.core.base.JoinSampler` runs and times.
+
 Batch engine
 ------------
 The online phases run *vectorised* by default.  The counting phase asks the
 index for the whole ``(n, 9)`` bound matrix at once
 (:meth:`repro.bbst.join_index.BBSTJoinIndex.batch_bounds`), and the sampling
-phase proceeds in rounds: each round pre-draws flat arrays of variates in a
-fixed schedule (``r`` indices, cell-pick, point-pick, and - for the BBST -
-slot-pick uniforms), resolves every attempt with numpy gathers over the
-grid's flat arrays, and refills adaptively from the observed acceptance rate
-(:func:`repro.core.batching.next_batch_size`).  Two knobs control it:
+phase runs the shared round loop :func:`repro.core.batching.rejection_rounds`:
+each round draws its ``r`` indices from the alias, then cell-pick,
+point-pick and - for the BBST - slot-pick uniforms as flat arrays, resolves
+every attempt with numpy gathers over the grid's flat arrays, and refills
+adaptively from the observed acceptance rate.  Two knobs control it:
 
 * ``vectorized=False`` processes the *same* pre-drawn variate arrays with a
   per-attempt Python loop; because both paths share draws and selection
@@ -42,9 +45,8 @@ grid's flat arrays, and refills adaptively from the observed acceptance rate
 from __future__ import annotations
 
 import abc
-import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Protocol
 
 import numpy as np
@@ -59,23 +61,15 @@ from repro.artifacts.spec import (
     unpack_alias,
 )
 from repro.bbst.join_index import CellContribution
-from repro.core.base import (
-    JoinSampler,
-    JoinSampleResult,
-    PhaseTimings,
-    SamplePair,
-    build_sample_pairs,
-)
-from repro.core.batching import cutoff_at, next_batch_size, pick_int_scalar
+from repro.core.base import PersistentJoinSampler
+from repro.core.batching import pick_int_scalar, rejection_rounds
 from repro.core.config import JoinSpec
-from repro.core.guards import empty_join_guard as _empty_join_guard
-from repro.errors import ArtifactCorruptError, ArtifactError, InvalidSpecError, SamplingExhaustedError
+from repro.errors import ArtifactCorruptError, ArtifactError
 from repro.geometry.point import PointSet
 from repro.geometry.rect import Rect
 from repro.grid.cell import GridCell
 from repro.grid.grid import Grid
 from repro.grid.neighbors import NEIGHBOR_OFFSETS, NeighborKind
-from repro.kernels.profiling import PROFILER
 
 __all__ = ["JoinCellIndex", "PreparedGridState", "GridJoinSamplerBase"]
 
@@ -102,6 +96,14 @@ class PreparedGridState:
     cumulative: np.ndarray
     alias: AliasTable | None
     sum_mu: float
+
+    @property
+    def is_empty(self) -> bool:
+        """Every upper bound is zero, so no draw can succeed."""
+        return self.alias is None
+
+    def result_metadata(self) -> dict[str, Any]:
+        return {"sum_mu": self.sum_mu}
 
     def to_arrays(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
         """Decompose into JSON-safe meta plus named arrays (artifact protocol)."""
@@ -185,7 +187,7 @@ class JoinCellIndex(Protocol):
 _KIND_COLUMN = {kind: column for column, kind in enumerate(NEIGHBOR_OFFSETS)}
 
 
-class GridJoinSamplerBase(JoinSampler):
+class GridJoinSamplerBase(PersistentJoinSampler):
     """Algorithm 1 skeleton parameterised by the per-cell index.
 
     Parameters
@@ -205,6 +207,10 @@ class GridJoinSamplerBase(JoinSampler):
         backends are bit-identical.
     """
 
+    has_build_phase = True
+    state_class = PreparedGridState
+    state_prefix = "state"
+
     def __init__(
         self,
         spec: JoinSpec,
@@ -215,10 +221,6 @@ class GridJoinSamplerBase(JoinSampler):
         super().__init__(spec, batch_size=batch_size, vectorized=vectorized, backend=backend)
         self._sorted_s = None
         self._index: JoinCellIndex | None = None
-        # Cached online structures (index, per-point bounds, alias): built on
-        # the first sample() call and reused by subsequent calls, which makes
-        # repeated / progressive sampling pay only the per-sample cost.
-        self._runtime: PreparedGridState | None = None
         self._cell_ids: np.ndarray | None = None
         self._s_position_sorter: np.ndarray | None = None
 
@@ -235,11 +237,19 @@ class GridJoinSamplerBase(JoinSampler):
     @property
     def runtime(self) -> PreparedGridState | None:
         """The cached count-phase output (``None`` before the first build)."""
-        return self._runtime
+        return self._prepared
 
     @property
     def cell_ids(self) -> np.ndarray | None:
-        """The cached ``(n, 9)`` flat-cell-index matrix of the count phase."""
+        """The ``(n, 9)`` flat-cell-index matrix (``None`` before the first build).
+
+        The vectorised count phase computes it; after the scalar one it is
+        computed (and cached) on first use.
+        """
+        if self._cell_ids is None and self._index is not None:
+            self._cell_ids = self._index.grid.neighbor_cell_ids(
+                self.spec.r_points.xs, self.spec.r_points.ys, kernels=self.kernels
+            )
         return self._cell_ids
 
     def adopt_runtime(
@@ -252,106 +262,54 @@ class GridJoinSamplerBase(JoinSampler):
         so the unchanged sampling phase serves draws from the updated state.
         The inner-set id lookup is dropped because ``S`` may have changed.
         """
-        self._runtime = state
+        self._prepared = state
         self._cell_ids = cell_ids
         self._s_position_sorter = None
 
     # ------------------------------------------------------------------
     # Prepared-state artifacts (persistence + warm start)
     # ------------------------------------------------------------------
-    #: Layout version of the grid-family artifact payload; the concrete
-    #: sampler sets the ``artifact_kind`` naming its index variant.
-    artifact_schema: ClassVar[int] = 1
+    def _export_extra(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+        """The cell-id matrix, the grid's sorted views and the bucket envelopes.
 
-    def export_prepared_arrays(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-        """Decompose the whole prepared state into ``(meta, arrays)``.
-
-        Everything the *vectorised* draw path touches is exported: the
-        count-phase state (bound matrix, prefix sums, alias tables), the
-        ``(n, 9)`` cell-id matrix, the grid's concatenated sorted views and -
-        for bucket-based indexes - the flat bucket envelopes.  The per-cell
-        corner trees are deliberately omitted: they are the dominant build
-        cost and only the scalar/maintenance paths need them, so warm start
-        rebuilds them lazily (see
+        Together with the count-phase state this is everything the
+        *vectorised* draw path touches.  The per-cell corner trees are
+        deliberately omitted: they are the dominant build cost and only the
+        scalar/maintenance paths need them, so warm start rebuilds them
+        lazily (see
         :meth:`repro.bbst.join_index.BBSTJoinIndex._ensure_cell_structures`).
         """
-        if not self.is_prepared or self._index is None:
-            raise ArtifactError(
-                f"sampler {self.name!r} is not prepared; nothing to export"
-            )
         index = self._index
-        state = self._runtime
-        assert state is not None
-        if self._cell_ids is None:
-            self._cell_ids = index.grid.neighbor_cell_ids(
-                self.spec.r_points.xs, self.spec.r_points.ys, kernels=self.kernels
-            )
-        state_meta, state_arrays = state.to_arrays()
-        arrays = prefixed("state", state_arrays)
-        arrays["cell_ids"] = self._cell_ids
+        assert index is not None and self.cell_ids is not None
         flat = index.grid.flat()
-        arrays["grid.keys_ix"] = np.array(
-            [cell.key[0] for cell in flat.cells], dtype=np.int64
-        )
-        arrays["grid.keys_iy"] = np.array(
-            [cell.key[1] for cell in flat.cells], dtype=np.int64
-        )
-        arrays["grid.lengths"] = flat.lengths
-        arrays["grid.xs_by_x"] = flat.xs_by_x
-        arrays["grid.ys_by_x"] = flat.ys_by_x
-        arrays["grid.ids_by_x"] = flat.ids_by_x
-        arrays["grid.xs_by_y"] = flat.xs_by_y
-        arrays["grid.ys_by_y"] = flat.ys_by_y
-        arrays["grid.ids_by_y"] = flat.ids_by_y
-        meta: dict[str, Any] = {
-            "kind": self.artifact_kind,
-            "schema": self.artifact_schema,
-            "state": state_meta,
-            "bucket_capacity": int(index.bucket_capacity),
-            "capacity_override": bool(index.capacity_override),
+        arrays = {
+            "cell_ids": self.cell_ids,
+            "grid.keys_ix": np.array([cell.key[0] for cell in flat.cells], dtype=np.int64),
+            "grid.keys_iy": np.array([cell.key[1] for cell in flat.cells], dtype=np.int64),
+            "grid.lengths": flat.lengths,
+            "grid.xs_by_x": flat.xs_by_x,
+            "grid.ys_by_x": flat.ys_by_x,
+            "grid.ids_by_x": flat.ids_by_x,
+            "grid.xs_by_y": flat.xs_by_y,
+            "grid.ys_by_y": flat.ys_by_y,
+            "grid.ids_by_y": flat.ids_by_y,
         }
         if getattr(index, "uses_bucket_arrays", False):
             buckets = index.bucket_arrays()
             arrays.update(
-                prefixed(
-                    "buckets",
-                    {
-                        "starts": buckets.starts,
-                        "counts": buckets.counts,
-                        "min_x": buckets.min_x,
-                        "max_x": buckets.max_x,
-                        "min_y": buckets.min_y,
-                        "max_y": buckets.max_y,
-                        "point_start": buckets.point_start,
-                        "sizes": buckets.sizes,
-                    },
-                )
+                prefixed("buckets", {f.name: getattr(buckets, f.name) for f in fields(buckets)})
             )
+        meta = {
+            "bucket_capacity": int(index.bucket_capacity),
+            "capacity_override": bool(index.capacity_override),
+        }
         return meta, arrays
 
-    def adopt_prepared_arrays(
+    def _adopt_extra(
         self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
     ) -> None:
-        """Attach a persisted prepared state (the warm-start inverse of export).
-
-        Runs the cheap offline step (pre-sorting ``S``), reassembles the grid
-        and index around the memmapped arrays without copying them, and
-        installs the count-phase state.  After this the sampler ``is_prepared``
-        and serves draws bit-identical to a freshly built twin.
-        """
-        self.preprocess()
+        """Reassemble the grid and index around the memmapped arrays, zero-copy."""
         spec = self.spec
-        state_meta = meta.get("state")
-        if not isinstance(state_meta, dict):
-            raise ArtifactCorruptError(
-                "artifact meta is missing its 'state' object"
-            )
-        state = PreparedGridState.from_arrays(state_meta, select_prefix(arrays, "state"))
-        if state.bounds.shape[0] != spec.n:
-            raise ArtifactCorruptError(
-                f"artifact bound matrix covers {state.bounds.shape[0]} outer "
-                f"points but the spec has {spec.n}"
-            )
         cell_ids = required_array(arrays, "cell_ids", dtype="<i8", ndim=2)
         if cell_ids.shape != (spec.n, 9):
             raise ArtifactCorruptError(
@@ -359,14 +317,9 @@ class GridJoinSamplerBase(JoinSampler):
                 f"expected {(spec.n, 9)}"
             )
         grid_arrays = select_prefix(arrays, "grid")
-        keys_ix = required_array(
-            grid_arrays, "keys_ix", dtype="<i8", ndim=1, context="artifact grid"
-        )
-        keys_iy = required_array(
-            grid_arrays, "keys_iy", dtype="<i8", ndim=1, context="artifact grid"
-        )
-        lengths = required_array(
-            grid_arrays, "lengths", dtype="<i8", ndim=1, context="artifact grid"
+        keys_ix, keys_iy, lengths = (
+            required_array(grid_arrays, name, dtype="<i8", ndim=1, context="artifact grid")
+            for name in ("keys_ix", "keys_iy", "lengths")
         )
         views = {
             name: required_array(
@@ -400,7 +353,8 @@ class GridJoinSamplerBase(JoinSampler):
                 f"artifact grid arrays are inconsistent: {exc}"
             ) from None
         self._index = self._restore_index(grid, meta, arrays)
-        self.adopt_runtime(state, cell_ids)
+        self._cell_ids = cell_ids
+        self._s_position_sorter = None
 
     def _restore_index(
         self,
@@ -416,9 +370,6 @@ class GridJoinSamplerBase(JoinSampler):
     def index_nbytes(self) -> int:
         return self._index.nbytes() if self._index is not None else 0
 
-    def _has_online_state(self) -> bool:
-        return self._runtime is not None
-
     # ------------------------------------------------------------------
     def _preprocess_impl(self) -> None:
         # The only offline work is pre-sorting S on the x axis (Table II).
@@ -430,105 +381,62 @@ class GridJoinSamplerBase(JoinSampler):
         return self._sorted_s
 
     # ------------------------------------------------------------------
-    def _sample_impl(self, t: int, rng: np.random.Generator) -> JoinSampleResult:
-        spec = self.spec
-        timings = PhaseTimings()
-        r_xs, r_ys = spec.r_points.xs, spec.r_points.ys
+    # The online phases
+    # ------------------------------------------------------------------
+    def _build(self) -> None:
+        """GM: the grid plus per-cell structures over ``S``."""
+        self._index = self._build_index()
 
-        if self._runtime is None:
-            # Phase 1: online data structure building (GM column).
-            start = time.perf_counter()
-            index = self._build_index()
-            self._index = index
-            timings.build_seconds = time.perf_counter() - start
-            if PROFILER.enabled:
-                PROFILER.add("build", timings.build_seconds)
-
-            # Phase 2: approximate range counting (UB column).
-            start = time.perf_counter()
-            n = spec.n
-            if self._vectorized:
-                cell_ids = index.grid.neighbor_cell_ids(
-                    r_xs, r_ys, kernels=self.kernels
-                )
-                bounds = index.batch_bounds(r_xs, r_ys, cell_ids)
-                self._cell_ids = cell_ids
-            else:
-                bounds = np.zeros((n, 9), dtype=np.float64)
-                for i in range(n):
-                    for contribution in index.contributions(float(r_xs[i]), float(r_ys[i])):
-                        bounds[i, _KIND_COLUMN[contribution.kind]] = contribution.upper_bound
-            cumulative = np.cumsum(bounds, axis=1)
-            mu_totals = cumulative[:, -1]
-            sum_mu = float(mu_totals.sum())
-            alias = AliasTable(mu_totals) if sum_mu > 0 else None
-            timings.count_seconds = time.perf_counter() - start
-            if PROFILER.enabled:
-                PROFILER.add("count", timings.count_seconds)
-            self._runtime = PreparedGridState(
-                bounds=bounds, cumulative=cumulative, alias=alias, sum_mu=sum_mu
-            )
+    def _count(self) -> PreparedGridState:
+        """UB: the ``(n, 9)`` per-cell bound matrix and the alias over ``mu(r)``."""
+        index = self._index
+        assert index is not None
+        r_xs, r_ys = self.spec.r_points.xs, self.spec.r_points.ys
+        if self._vectorized:
+            self._cell_ids = index.grid.neighbor_cell_ids(r_xs, r_ys, kernels=self.kernels)
+            bounds = index.batch_bounds(r_xs, r_ys, self._cell_ids)
         else:
-            index = self._index
-            state = self._runtime
-            bounds, cumulative = state.bounds, state.cumulative
-            alias, sum_mu = state.alias, state.sum_mu
-        if alias is None and t > 0:
-            raise InvalidSpecError(
-                "the spatial range join is empty (every upper bound is zero); "
-                "no samples can be drawn"
-            )
-
-        # Phase 3: sampling, in pre-drawn rounds.
-        start = time.perf_counter()
-        accepted_r: list[np.ndarray] = []
-        accepted_sid: list[np.ndarray] = []
-        accepted = 0
-        iterations = 0
-        guard = _empty_join_guard(t)
-        needs_slot = getattr(index, "needs_slot_variates", True)
-        while alias is not None and accepted < t:
-            if accepted == 0 and iterations >= guard:
-                timings.sample_seconds = time.perf_counter() - start
-                raise SamplingExhaustedError(
-                    f"no join sample accepted after {iterations} iterations; "
-                    "the join result is empty or vanishingly small"
-                )
-            profile = PROFILER.enabled
-            if profile:
-                tick = time.perf_counter()
-            size = next_batch_size(t - accepted, iterations, accepted, self._batch_size)
-            r = alias.draw_many(size, rng)
-            u_col = rng.random(size)
-            u_point = rng.random(size)
-            u_slot = rng.random(size) if needs_slot else None
-            if profile:
-                now = time.perf_counter()
-                PROFILER.add("refill", now - tick)
-                tick = now
-            if self._vectorized:
-                accept, cand_sid = self._round_vectorized(r, u_col, u_point, u_slot)
-            else:
-                accept, cand_sid = self._round_scalar(r, u_col, u_point, u_slot)
-            if profile:
-                PROFILER.add("draw", time.perf_counter() - tick)
-            used, taken = cutoff_at(accept, t - accepted)
-            iterations += used
-            accepted += taken.size
-            if taken.size:
-                accepted_r.append(r[taken])
-                accepted_sid.append(cand_sid[taken])
-        pairs = self._assemble_pairs(accepted_r, accepted_sid)
-        timings.sample_seconds = time.perf_counter() - start
-
-        return JoinSampleResult(
-            sampler_name=self.name,
-            requested=t,
-            pairs=pairs,
-            timings=timings,
-            iterations=iterations,
-            metadata={"sum_mu": sum_mu},
+            bounds = np.zeros((self.spec.n, 9), dtype=np.float64)
+            for i in range(self.spec.n):
+                for contribution in index.contributions(float(r_xs[i]), float(r_ys[i])):
+                    bounds[i, _KIND_COLUMN[contribution.kind]] = contribution.upper_bound
+        cumulative = np.cumsum(bounds, axis=1)
+        mu_totals = cumulative[:, -1]
+        sum_mu = float(mu_totals.sum())
+        alias = AliasTable(mu_totals) if sum_mu > 0 else None
+        return PreparedGridState(
+            bounds=bounds, cumulative=cumulative, alias=alias, sum_mu=sum_mu
         )
+
+    def _draw(
+        self, state: PreparedGridState, t: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Sampling: rejection rounds, then candidate ids mapped to positions."""
+        assert state.alias is not None
+        r_indices, s_ids, iterations = rejection_rounds(
+            t, state.alias, rng, self._resolve_round, self._batch_size
+        )
+        # The grid stores ids, not positions: map them back with a cached
+        # sorted-id lookup.
+        s_points = self.spec.s_points
+        if self._s_position_sorter is None:
+            self._s_position_sorter = np.argsort(s_points.ids, kind="stable")
+        sorter = self._s_position_sorter
+        s_indices = sorter[np.searchsorted(s_points.ids[sorter], s_ids)]
+        return r_indices, s_indices, iterations
+
+    def _resolve_round(
+        self, r: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw one round's column, point and (if needed) slot uniforms and resolve it."""
+        u_col = rng.random(r.size)
+        u_point = rng.random(r.size)
+        index = self._index
+        assert index is not None
+        u_slot = rng.random(r.size) if index.needs_slot_variates else None
+        if self._vectorized:
+            return self._round_vectorized(r, u_col, u_point, u_slot)
+        return self._round_scalar(r, u_col, u_point, u_slot)
 
     # ------------------------------------------------------------------
     # Round processors (the two differential twins)
@@ -550,14 +458,10 @@ class GridJoinSamplerBase(JoinSampler):
         kd-tree ablation) keep working.
         """
         spec = self.spec
-        index = self._index
-        assert index is not None and self._runtime is not None
-        bounds, cumulative = self._runtime.bounds, self._runtime.cumulative
+        index, cell_id_matrix = self._index, self.cell_ids
+        assert index is not None and cell_id_matrix is not None
+        bounds, cumulative = self._prepared.bounds, self._prepared.cumulative
         kernels = self.kernels
-        if self._cell_ids is None:
-            self._cell_ids = index.grid.neighbor_cell_ids(
-                spec.r_points.xs, spec.r_points.ys, kernels=kernels
-            )
         flat = index.grid.flat()
         half = spec.half_extent
 
@@ -565,7 +469,7 @@ class GridJoinSamplerBase(JoinSampler):
         # searchsorted(row, u * total, side="right") per attempt.
         col, totals = kernels.column_select(rows, u_col)
         counts = bounds[r, col].astype(np.int64)
-        cell_ids = self._cell_ids[r, col]
+        cell_ids = cell_id_matrix[r, col]
         rx = spec.r_points.xs[r]
         ry = spec.r_points.ys[r]
         wxmin, wxmax = rx - half, rx + half
@@ -623,8 +527,8 @@ class GridJoinSamplerBase(JoinSampler):
         """
         spec = self.spec
         index = self._index
-        assert index is not None and self._runtime is not None
-        bounds, cumulative = self._runtime.bounds, self._runtime.cumulative
+        assert index is not None and self._prepared is not None
+        bounds, cumulative = self._prepared.bounds, self._prepared.cumulative
         grid = index.grid
         r_xs, r_ys = spec.r_points.xs, spec.r_points.ys
         size = r.size
@@ -677,25 +581,3 @@ class GridJoinSamplerBase(JoinSampler):
                 accept[i] = True
                 cand_sid[i] = s_id
         return accept, cand_sid
-
-    # ------------------------------------------------------------------
-    def _assemble_pairs(
-        self, accepted_r: list[np.ndarray], accepted_sid: list[np.ndarray]
-    ) -> list[SamplePair]:
-        """Materialise :class:`SamplePair` objects from the accepted arrays.
-
-        The engine tracks candidates by dataset id (the grid stores ids, not
-        positions), so the ids are mapped back to positional indices with a
-        cached sorted-id lookup before the shared pair builder runs.
-        """
-        if not accepted_r:
-            return []
-        spec = self.spec
-        r_indices = np.concatenate(accepted_r)
-        s_ids = np.concatenate(accepted_sid)
-        if self._s_position_sorter is None:
-            self._s_position_sorter = np.argsort(spec.s_points.ids, kind="stable")
-        sorter = self._s_position_sorter
-        sorted_ids = spec.s_points.ids[sorter]
-        s_indices = sorter[np.searchsorted(sorted_ids, s_ids)]
-        return build_sample_pairs(spec, r_indices, s_indices)

@@ -8,24 +8,31 @@ benchmark harness can demonstrate the crossover the paper motivates.
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.core.base import (
-    JoinSampler,
-    JoinSampleResult,
-    PhaseTimings,
-    SamplePair,
-    build_sample_pairs,
-)
-from repro.core.config import JoinSpec
+from repro.core.base import JoinSampler
 from repro.core.full_join import spatial_range_join_array
 from repro.core.registry import register_sampler
-from repro.errors import InvalidSpecError
 from repro.grid.grid import Grid
 
-__all__ = ["JoinThenSample"]
+__all__ = ["MaterialisedJoin", "JoinThenSample"]
+
+
+@dataclass
+class MaterialisedJoin:
+    """The whole join ``J`` as ``(r_index, s_index)`` rows (the cached state)."""
+
+    pairs: np.ndarray
+
+    @property
+    def is_empty(self) -> bool:
+        return self.pairs.shape[0] == 0
+
+    def result_metadata(self) -> dict[str, Any]:
+        return {"join_size": int(self.pairs.shape[0])}
 
 
 @register_sampler(
@@ -37,17 +44,7 @@ __all__ = ["JoinThenSample"]
 class JoinThenSample(JoinSampler):
     """Materialise ``J`` with the exact grid join, then sample uniformly from it."""
 
-    def __init__(
-        self,
-        spec: JoinSpec,
-        batch_size: int | None = None,
-        vectorized: bool = True,
-        backend: str | None = None,
-    ) -> None:
-        super().__init__(spec, batch_size=batch_size, vectorized=vectorized, backend=backend)
-        self._grid: Grid | None = None
-        # The materialised join, cached so repeated draws reuse it.
-        self._pairs_index: np.ndarray | None = None
+    _grid: Grid | None = None
 
     @property
     def name(self) -> str:
@@ -56,13 +53,10 @@ class JoinThenSample(JoinSampler):
     def index_nbytes(self) -> int:
         return self._grid.nbytes() if self._grid is not None else 0
 
-    def _has_online_state(self) -> bool:
-        return self._pairs_index is not None
-
     @property
     def exact_join_size(self) -> int | None:
         """Exact ``|J|`` of the materialised join (``None`` before preparing)."""
-        return None if self._pairs_index is None else int(self._pairs_index.shape[0])
+        return None if self._prepared is None else int(self._prepared.pairs.shape[0])
 
     # ------------------------------------------------------------------
     def _preprocess_impl(self) -> None:
@@ -70,32 +64,12 @@ class JoinThenSample(JoinSampler):
         # only step that can be shared across sample() calls.
         self._grid = Grid(self.spec.s_points, cell_size=self.spec.half_extent)
 
-    def _sample_impl(self, t: int, rng: np.random.Generator) -> JoinSampleResult:
-        timings = PhaseTimings()
-        spec = self.spec
+    def _count(self) -> MaterialisedJoin:
+        """Materialise the join (reported as the UB column)."""
+        return MaterialisedJoin(spatial_range_join_array(self.spec, self._grid))
 
-        if self._pairs_index is None:
-            start = time.perf_counter()
-            self._pairs_index = spatial_range_join_array(spec, self._grid)
-            timings.count_seconds = time.perf_counter() - start
-        pairs_index = self._pairs_index
-        if pairs_index.shape[0] == 0 and t > 0:
-            raise InvalidSpecError(
-                "the spatial range join is empty; no samples can be drawn"
-            )
-
-        start = time.perf_counter()
-        pairs: list[SamplePair] = []
-        if pairs_index.shape[0] and t > 0:
-            picks = rng.integers(pairs_index.shape[0], size=t)
-            pairs = build_sample_pairs(spec, pairs_index[picks, 0], pairs_index[picks, 1])
-        timings.sample_seconds = time.perf_counter() - start
-
-        return JoinSampleResult(
-            sampler_name=self.name,
-            requested=t,
-            pairs=pairs,
-            timings=timings,
-            iterations=t,
-            metadata={"join_size": int(pairs_index.shape[0])},
-        )
+    def _draw(
+        self, state: MaterialisedJoin, t: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        picks = rng.integers(state.pairs.shape[0], size=t)
+        return state.pairs[picks, 0], state.pairs[picks, 1], t

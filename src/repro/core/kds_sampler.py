@@ -14,6 +14,9 @@ The algorithm:
 Every iteration yields an accepted pair, so the number of iterations equals
 ``t``; the cost per iteration is what makes this baseline slow.
 
+:class:`KDTreeJoinSampler` is the kd-tree over ``S`` this baseline shares
+with KDS-rejection (:mod:`repro.core.kds_rejection`).
+
 Batch engine: the counting phase issues one batched traversal over all ``n``
 windows (:meth:`repro.kdtree.tree.KDTree.count_many`), and the sampling phase
 draws all ``t`` alias picks at once, decomposes only the *distinct* drawn
@@ -26,7 +29,6 @@ the same pre-drawn variates through per-attempt scalar decompositions and
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
@@ -40,21 +42,17 @@ from repro.artifacts.spec import (
     required_array,
     unpack_alias,
 )
-from repro.core.base import (
-    JoinSampler,
-    JoinSampleResult,
-    PhaseTimings,
-    SamplePair,
-    build_sample_pairs,
-)
+from repro.core.base import PersistentJoinSampler
 from repro.core.batching import pick_int_scalar, window_bounds
-from repro.core.config import JoinSpec
 from repro.core.registry import register_sampler
-from repro.errors import ArtifactCorruptError, ArtifactError, InvalidSpecError
 from repro.kdtree.batch import canonical_pick, iter_chunked_decompositions
 from repro.kdtree.sampling import KDSRangeSampler
+from repro.kdtree.tree import KDTree
 
-__all__ = ["PreparedExactCounts", "KDSSampler"]
+__all__ = ["LEAF_SIZE", "PreparedExactCounts", "KDTreeJoinSampler", "KDSSampler"]
+
+#: Leaf bucket size of the kd-tree over ``S`` both KDS baselines sample from.
+LEAF_SIZE = 16
 
 
 @register_prepared_state
@@ -74,6 +72,14 @@ class PreparedExactCounts:
     counts: np.ndarray
     alias: AliasTable | None
     join_size: int
+
+    @property
+    def is_empty(self) -> bool:
+        """No window holds a point of ``S``."""
+        return self.alias is None
+
+    def result_metadata(self) -> dict[str, Any]:
+        return {"join_size": self.join_size}
 
     def to_arrays(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
         """Decompose into JSON-safe meta plus named arrays (artifact protocol)."""
@@ -95,51 +101,59 @@ class PreparedExactCounts:
         )
 
 
+class KDTreeJoinSampler(PersistentJoinSampler):
+    """The kd-tree over ``S`` that both KDS baselines draw points from.
+
+    Building it is the offline step (Table II).  Only the count-phase state
+    persists in an artifact: the tree is rebuilt deterministically by
+    :meth:`preprocess` at attach time (it is the offline step, not the
+    online cost a warm start saves).
+    """
+
+    _range_sampler: KDSRangeSampler | None = None
+
+    def _preprocess_impl(self) -> None:
+        self._range_sampler = KDSRangeSampler(self.spec.s_points, leaf_size=LEAF_SIZE)
+
+    @property
+    def _tree(self) -> KDTree:
+        assert self._range_sampler is not None
+        return self._range_sampler.tree
+
+    def index_nbytes(self) -> int:
+        return self._range_sampler.nbytes() if self._range_sampler is not None else 0
+
+    def _windows(self, r_indices: np.ndarray) -> tuple[np.ndarray, ...]:
+        spec = self.spec
+        return window_bounds(
+            spec.r_points.xs[r_indices], spec.r_points.ys[r_indices], spec.half_extent
+        )
+
+
 @register_sampler(
     "kds",
     tags=("online", "comparison", "baseline"),
     summary="baseline 1: exact kd-tree counting + range sampling (Section III-A)",
 )
-class KDSSampler(JoinSampler):
+class KDSSampler(KDTreeJoinSampler):
     """The KDS baseline: exact counting plus kd-tree range sampling.
 
     Parameters
     ----------
     spec:
         The join instance.
-    leaf_size:
-        Leaf bucket size of the kd-tree over ``S``.
-    batch_size, vectorized:
+    batch_size, vectorized, backend:
         Batch-engine knobs (see :class:`~repro.core.base.JoinSampler`); KDS
-        accepts every attempt, so ``batch_size`` only affects internal round
-        sizes, not the draw schedule.
+        accepts every attempt and draws all ``t`` in one round, so
+        ``batch_size`` does not change the draw schedule.
     """
 
-    def __init__(
-        self,
-        spec: JoinSpec,
-        leaf_size: int = 16,
-        batch_size: int | None = None,
-        vectorized: bool = True,
-        backend: str | None = None,
-    ) -> None:
-        super().__init__(spec, batch_size=batch_size, vectorized=vectorized, backend=backend)
-        self._leaf_size = leaf_size
-        self._range_sampler: KDSRangeSampler | None = None
-        # Cached counting-phase results: the exact counts depend only on the
-        # spec, so repeated sample() calls reuse them and only pay the
-        # sampling phase.
-        self._online: PreparedExactCounts | None = None
+    state_class = PreparedExactCounts
+    artifact_kind = "kds-exact-counts"
 
     @property
     def name(self) -> str:
         return "KDS"
-
-    def index_nbytes(self) -> int:
-        return self._range_sampler.nbytes() if self._range_sampler is not None else 0
-
-    def _has_online_state(self) -> bool:
-        return self._online is not None
 
     @property
     def exact_join_size(self) -> int | None:
@@ -149,133 +163,47 @@ class KDSSampler(JoinSampler):
         join size for free; the shard-parallel engine uses this to skip its
         own exact count.
         """
-        return None if self._online is None else self._online.join_size
+        return None if self._prepared is None else self._prepared.join_size
 
-    # ------------------------------------------------------------------
-    # Prepared-state artifacts (persistence + warm start)
-    # ------------------------------------------------------------------
-    #: Artifact payload identity of this sampler's prepared state.
-    artifact_kind: ClassVar[str] = "kds-exact-counts"
-    artifact_schema: ClassVar[int] = 1
-
-    def export_prepared_arrays(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-        """Decompose the prepared state into ``(meta, arrays)``.
-
-        Only the counting-phase output is persisted; the kd-tree over ``S``
-        is rebuilt deterministically by :meth:`preprocess` at attach time (it
-        is the offline Table II step, not the online cost the warm start
-        saves).
-        """
-        if not self.is_prepared:
-            raise ArtifactError(
-                f"sampler {self.name!r} is not prepared; nothing to export"
-            )
-        state_meta, state_arrays = self._online.to_arrays()
-        meta = {
-            "kind": self.artifact_kind,
-            "schema": self.artifact_schema,
-            "state": state_meta,
-        }
-        return meta, dict(state_arrays)
-
-    def adopt_prepared_arrays(
-        self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        """Attach a persisted counting-phase state (warm start)."""
-        self.preprocess()
-        state_meta = meta.get("state")
-        if not isinstance(state_meta, dict):
-            raise ArtifactCorruptError("artifact meta is missing its 'state' object")
-        state = PreparedExactCounts.from_arrays(state_meta, arrays)
-        if state.counts.shape[0] != self.spec.n:
-            raise ArtifactCorruptError(
-                f"artifact count vector covers {state.counts.shape[0]} outer "
-                f"points but the spec has {self.spec.n}"
-            )
-        self._online = state
-
-    def _windows(self, r_indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _count(self) -> PreparedExactCounts:
+        """UB: exact range counts ``|S(w(r))|`` and the alias over them."""
         spec = self.spec
-        return window_bounds(
-            spec.r_points.xs[r_indices], spec.r_points.ys[r_indices], spec.half_extent
-        )
-
-    def _preprocess_impl(self) -> None:
-        self._range_sampler = KDSRangeSampler(self.spec.s_points, leaf_size=self._leaf_size)
-
-    def _sample_impl(self, t: int, rng: np.random.Generator) -> JoinSampleResult:
-        assert self._range_sampler is not None
-        spec = self.spec
-        timings = PhaseTimings()
-        tree = self._range_sampler.tree
-
-        # Exact range counting phase (the paper's UB column for KDS), cached
-        # across sample() calls - the counts are deterministic in the spec.
-        if self._online is None:
-            start = time.perf_counter()
-            if self._vectorized:
-                wxmin, wymin, wxmax, wymax = self._windows(np.arange(spec.n))
-                counts = tree.count_many(wxmin, wymin, wxmax, wymax)
-            else:
-                counts = np.empty(spec.n, dtype=np.int64)
-                for i in range(spec.n):
-                    counts[i] = self._range_sampler.range_count(spec.window_of_index(i))
-            join_size = int(counts.sum())
-            alias: AliasTable | None = None
-            if join_size > 0:
-                alias = AliasTable(counts)
-            timings.count_seconds = time.perf_counter() - start
-            self._online = PreparedExactCounts(
-                counts=counts, alias=alias, join_size=join_size
-            )
+        if self._vectorized:
+            counts = self._tree.count_many(*self._windows(np.arange(spec.n)))
         else:
-            alias, join_size = self._online.alias, self._online.join_size
-        if alias is None and t > 0:
-            raise InvalidSpecError(
-                "the spatial range join is empty; no samples can be drawn "
-                "(the problem definition assumes |J| >= 1)"
-            )
+            assert self._range_sampler is not None
+            counts = np.empty(spec.n, dtype=np.int64)
+            for i in range(spec.n):
+                counts[i] = self._range_sampler.range_count(spec.window_of_index(i))
+        join_size = int(counts.sum())
+        alias = AliasTable(counts) if join_size > 0 else None
+        return PreparedExactCounts(counts=counts, alias=alias, join_size=join_size)
 
-        # Sampling phase: every draw is one accepted pair.
-        start = time.perf_counter()
-        pairs: list[SamplePair] = []
-        iterations = 0
-        if alias is not None and t > 0:
-            r_indices = alias.draw_many(t, rng)
-            u_point = rng.random(t)
-            iterations = t
-            if self._vectorized:
-                s_indices = self._draw_vectorized(r_indices, u_point)
-            else:
-                s_indices = self._draw_scalar(r_indices, u_point)
-            pairs = build_sample_pairs(spec, r_indices, s_indices)
-        timings.sample_seconds = time.perf_counter() - start
-
-        return JoinSampleResult(
-            sampler_name=self.name,
-            requested=t,
-            pairs=pairs,
-            timings=timings,
-            iterations=iterations,
-            metadata={"join_size": join_size},
-        )
+    def _draw(
+        self, state: PreparedExactCounts, t: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Sampling: ``t`` alias picks, then one point per window (no rejection)."""
+        assert state.alias is not None
+        r_indices = state.alias.draw_many(t, rng)
+        u_point = rng.random(t)
+        draw = self._draw_vectorized if self._vectorized else self._draw_scalar
+        return r_indices, draw(r_indices, u_point), t
 
     # ------------------------------------------------------------------
     def _draw_vectorized(self, r_indices: np.ndarray, u_point: np.ndarray) -> np.ndarray:
         """One point per attempt via batched decomposition of distinct windows."""
-        tree = self._range_sampler.tree  # type: ignore[union-attr]
         unique_r, inverse = np.unique(r_indices, return_inverse=True)
         wxmin, wymin, wxmax, wymax = self._windows(unique_r)
         s_indices = np.empty(r_indices.size, dtype=np.int64)
         for attempts, local, decomposition in iter_chunked_decompositions(
-            tree, wxmin, wymin, wxmax, wymax, inverse
+            self._tree, wxmin, wymin, wxmax, wymax, inverse
         ):
             s_indices[attempts] = decomposition.draw(local, u_point[attempts])
         return s_indices
 
     def _draw_scalar(self, r_indices: np.ndarray, u_point: np.ndarray) -> np.ndarray:
         """Scalar twin: per-attempt decomposition plus canonical rank pick."""
-        tree = self._range_sampler.tree  # type: ignore[union-attr]
+        tree = self._tree
         spec = self.spec
         cache: dict[int, object] = {}
         s_indices = np.empty(r_indices.size, dtype=np.int64)

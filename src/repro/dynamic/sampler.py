@@ -392,15 +392,8 @@ class DynamicSampler(JoinSampler):
         self._inner.prepare()
         self._preprocessed = True
         runtime = self._inner.runtime
-        assert runtime is not None
-        grid = self._inner.index.grid  # type: ignore[union-attr]
         cell_ids = self._inner.cell_ids
-        if cell_ids is None:
-            # The scalar (vectorized=False) build path never materialises the
-            # cell-id matrix; the maintenance code needs it either way.
-            cell_ids = grid.neighbor_cell_ids(
-                self.spec.r_points.xs, self.spec.r_points.ys
-            )
+        assert runtime is not None and cell_ids is not None
         r_ix, r_iy = self._keys_for(self.spec.r_points.xs, self.spec.r_points.ys)
         self._state = _DynamicState(
             bounds=_writable(runtime.bounds),

@@ -1,9 +1,11 @@
 """Selectable compiled kernels for the batch-sampling hot paths.
 
-See :mod:`repro.kernels.backends` for backend selection
+Every kernel has a numpy reference (:mod:`repro.kernels.numpy_backend`)
+and an optional numba twin (:mod:`repro.kernels.numba_backend`); the two
+are bit-identical and consume no randomness.  See
+:mod:`repro.kernels.backends` for backend selection
 (``"numpy" | "numba" | "auto"``, precedence ``arg > $REPRO_KERNEL_BACKEND >
-auto``) and :mod:`repro.kernels.profiling` for the ``REPRO_PROFILE`` /
-``--profile`` per-phase timing hook.
+auto``).
 """
 
 from repro.kernels.backends import (
@@ -17,7 +19,6 @@ from repro.kernels.backends import (
     resolve_backend,
     runtime_meta,
 )
-from repro.kernels.profiling import PROFILE_ENV_VAR, PROFILER, PhaseProfiler
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -29,7 +30,4 @@ __all__ = [
     "numba_version",
     "resolve_backend",
     "runtime_meta",
-    "PROFILE_ENV_VAR",
-    "PROFILER",
-    "PhaseProfiler",
 ]

@@ -53,7 +53,7 @@ import numpy as np
 from repro.alias.walker import AliasTable
 from repro.artifacts import (
     attach_sampler_artifact,
-    load_artifact,
+    load_sampler_artifact,
     required_array,
     save_sampler_artifact,
     write_artifact,
@@ -73,11 +73,9 @@ from repro.devtools.lockcheck import LockLike, make_lock
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactError,
-    ArtifactVersionError,
     InvalidSpecError,
     SessionClosedError,
 )
-from repro.kernels.profiling import PROFILER
 from repro.parallel.plan import Shard, ShardPlan
 from repro.parallel.pool import WorkerLease, WorkerPool, shared_pool
 
@@ -840,18 +838,7 @@ class ShardedSampler(JoinSampler):
                 raise ArtifactError(
                     "cannot attach an artifact to an already-built sharded sampler"
                 )
-            start = time.perf_counter()
-            meta, arrays = load_artifact(path)
-            if meta.get("kind") != self.artifact_kind:
-                raise ArtifactCorruptError(
-                    f"artifact holds kind {meta.get('kind')!r}, expected "
-                    f"{self.artifact_kind!r}: {path}"
-                )
-            if meta.get("schema") != self.artifact_schema:
-                raise ArtifactVersionError(
-                    f"artifact schema {meta.get('schema')!r} does not match "
-                    f"the supported schema {self.artifact_schema}: {path}"
-                )
+            meta, arrays = load_sampler_artifact(self, path)
             if meta.get("algorithm") != self._algorithm:
                 raise ArtifactCorruptError(
                     f"artifact was built with algorithm {meta.get('algorithm')!r} "
@@ -863,12 +850,6 @@ class ShardedSampler(JoinSampler):
                     f"sampler shards into {self._jobs}"
                 )
             spec = self.spec
-            saved_shape = (meta.get("n"), meta.get("m"), meta.get("half_extent"))
-            if saved_shape != (spec.n, spec.m, spec.half_extent):
-                raise ArtifactCorruptError(
-                    f"artifact was built for (n, m, l)={saved_shape} but the "
-                    f"live spec is {(spec.n, spec.m, spec.half_extent)}"
-                )
             edges = required_array(arrays, "edges", dtype="<f8", ndim=1)
             weights = required_array(arrays, "weights", dtype="<i8", ndim=1)
             shards_meta = meta.get("shards")
@@ -1019,8 +1000,6 @@ class ShardedSampler(JoinSampler):
                 local_samplers=local_samplers,
                 leases=leases,
             )
-            if PROFILER.enabled:
-                PROFILER.add("load", time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Dynamic updates: delta-aware re-routing of the shard composition

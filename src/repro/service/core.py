@@ -46,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.api.planner import PlanReport
-from repro.core.base import JoinSampleResult
+from repro.core.base import JoinSampleResult, validate_seed
 from repro.errors import (
     InvalidSpecError,
     ServiceOverloadedError,
@@ -420,6 +420,7 @@ class ServiceCore:
                 f"{self.config.max_samples_per_request}"
             )
         seed = self._derive_seed() if seed is None else int(seed)
+        validate_seed(seed)
         tenant_id = self._resolve_tenant(tenant)
         start = time.perf_counter()
         await self._admit(tenant_id)

@@ -139,6 +139,39 @@ def _map_exception(exc: BaseException) -> _HttpError:
     return _HttpError(500, f"{exc.__class__.__name__}: {exc}")
 
 
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """One request's ``(method, target, headers, body)``; ``None`` at end of stream.
+
+    Malformed framing raises :class:`_HttpError` (400, or 413 for an
+    oversized body) or ``ValueError`` (an unparsable request line or
+    Content-Length, a line over the stream's 64 KiB buffer limit).
+    """
+    request_line = await reader.readline()
+    if not request_line:
+        return None
+    method, target, _version = request_line.decode("latin-1").split(" ", 2)
+    headers: dict[str, str] = {}
+    header_bytes = 0
+    while True:
+        line = await reader.readline()
+        header_bytes += len(line)
+        if header_bytes > _MAX_HEADER:
+            raise _HttpError(400, "headers too large")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", "0") or "0")
+    if length < 0:
+        raise _HttpError(400, "negative Content-Length")
+    if length > _MAX_BODY:
+        raise _HttpError(413, "request body too large")
+    body = await reader.readexactly(length) if length else b""
+    return method, target, headers, body
+
+
 class ServiceServer:
     """One listening endpoint bound to one :class:`ServiceCore`.
 
@@ -194,11 +227,7 @@ class ServiceServer:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client went away mid-request; nothing to answer
         finally:
             self._connections.discard(writer)
@@ -211,31 +240,19 @@ class ServiceServer:
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        request_line = await reader.readline()
-        if not request_line:
-            return False
         try:
-            method, target, _version = request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            await self._send_json(writer, 400, {"error": "malformed request line"})
+            request = await _read_request(reader)
+        except (_HttpError, ValueError) as exc:
+            # Malformed framing: answer, then close - where the next request
+            # would start in the stream is unknown.
+            status = exc.status if isinstance(exc, _HttpError) else 400
+            await self._send_json(
+                writer, status, {"error": f"malformed request: {exc}"}, keep_alive=False
+            )
             return False
-        headers: dict[str, str] = {}
-        header_bytes = 0
-        while True:
-            line = await reader.readline()
-            header_bytes += len(line)
-            if header_bytes > _MAX_HEADER:
-                await self._send_json(writer, 400, {"error": "headers too large"})
-                return False
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            await self._send_json(writer, 413, {"error": "request body too large"})
+        if request is None:
             return False
-        body = await reader.readexactly(length) if length else b""
+        method, target, headers, body = request
         keep_alive = headers.get("connection", "").lower() != "close"
         try:
             status, payload, extra = await self._dispatch(method.upper(), target, body)

@@ -110,8 +110,8 @@ class TestCountingPhaseEquality:
         scalar = sampler_class(skewed_spec, vectorized=False)
         vectorized.sample(0, seed=0)
         scalar.sample(0, seed=0)
-        v_state = vectorized._runtime
-        s_state = scalar._runtime
+        v_state = vectorized._prepared
+        s_state = scalar._prepared
         np.testing.assert_array_equal(v_state.bounds, s_state.bounds)
         np.testing.assert_array_equal(v_state.cumulative, s_state.cumulative)
         assert v_state.sum_mu == s_state.sum_mu

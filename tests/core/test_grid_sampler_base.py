@@ -39,7 +39,7 @@ class TestSkeletonBehaviour:
         """The cached (n, 9) bound matrix must be consistent with the index."""
         sampler = BBSTSampler(small_uniform_spec)
         sampler.sample(0, seed=0)
-        state = sampler._runtime
+        state = sampler._prepared
         bounds, cumulative, sum_mu = state.bounds, state.cumulative, state.sum_mu
         assert bounds.shape == (small_uniform_spec.n, 9)
         assert np.allclose(cumulative[:, -1], bounds.sum(axis=1))
@@ -58,7 +58,7 @@ class TestSkeletonBehaviour:
         # away... easier: craft S so every bound comes from corner cells whose
         # buckets never match.  Simplest robust construction: monkey-patch the
         # guard to a small value and use a vanishingly selective join.
-        from repro.core import grid_sampler_base
+        from repro.core import batching
 
         r_points = PointSet(xs=[100.0], ys=[100.0])
         s_points = PointSet(xs=[199.0, 198.0, 197.0], ys=[199.0, 198.0, 197.0])
@@ -69,10 +69,10 @@ class TestSkeletonBehaviour:
 
         assert join_size(spec) == 0
         sampler = BBSTSampler(spec)
-        original_guard = grid_sampler_base._empty_join_guard
-        grid_sampler_base._empty_join_guard = lambda t: 500
+        original_guard = batching.empty_join_guard
+        batching.empty_join_guard = lambda t: 500
         try:
             with pytest.raises((RuntimeError, ValueError)):
                 sampler.sample(5, seed=0)
         finally:
-            grid_sampler_base._empty_join_guard = original_guard
+            batching.empty_join_guard = original_guard

@@ -31,10 +31,6 @@ class TestKDSSampler:
         sampler.preprocess()
         assert sampler.index_nbytes() > 0
 
-    def test_leaf_size_parameter(self, small_uniform_spec):
-        result = KDSSampler(small_uniform_spec, leaf_size=4).sample(50, seed=3)
-        assert len(result) == 50
-
     def test_r_points_with_empty_windows_never_sampled(self, small_clustered_spec):
         """Points of R whose window is empty have zero alias weight."""
         spec = small_clustered_spec

@@ -52,7 +52,7 @@ class TestPreparedStateDataclasses:
     def test_grid_state_is_a_plain_dataclass(self, small_uniform_spec):
         sampler = BBSTSampler(small_uniform_spec)
         sampler.prepare()
-        state = sampler._runtime
+        state = sampler._prepared
         assert isinstance(state, PreparedGridState)
         assert state.bounds.shape == (small_uniform_spec.n, 9)
         assert state.sum_mu == pytest.approx(float(state.bounds.sum()))
@@ -60,7 +60,7 @@ class TestPreparedStateDataclasses:
     def test_kds_state_is_a_plain_dataclass(self, small_uniform_spec):
         sampler = KDSSampler(small_uniform_spec)
         sampler.prepare()
-        state = sampler._online
+        state = sampler._prepared
         assert isinstance(state, PreparedExactCounts)
         assert state.join_size == int(state.counts.sum())
         assert sampler.exact_join_size == state.join_size
@@ -68,6 +68,6 @@ class TestPreparedStateDataclasses:
     def test_rejection_state_is_a_plain_dataclass(self, small_uniform_spec):
         sampler = KDSRejectionSampler(small_uniform_spec)
         sampler.prepare()
-        state = sampler._online
+        state = sampler._prepared
         assert isinstance(state, PreparedGridBounds)
         assert state.sum_mu == int(state.mu.sum())

@@ -173,3 +173,33 @@ def test_invalid_t_rejected_without_failing_companions():
         assert len(result) == 4
     finally:
         core.close()
+
+
+
+def test_negative_seed_fails_alone_without_failing_its_batch():
+    from repro.service.http import _map_exception
+
+    core = make_core(ServiceConfig(coalesce_window=0.05, executor_threads=2))
+    twin = SamplingSession.from_spec(
+        make_spec(seed=7, name="tenant-0"), algorithm=ALGORITHM, eager=False
+    )
+    try:
+        solo = asyncio.run(core.draw(10, seed=7))
+
+        async def scenario():
+            return await asyncio.gather(
+                core.draw(10, seed=7), core.draw(10, seed=-1), return_exceptions=True
+            )
+
+        good, bad = asyncio.run(scenario())
+        assert isinstance(bad, InvalidSpecError)
+        assert _map_exception(bad).status == 400
+        assert not isinstance(good, BaseException), good
+        assert good.id_pairs() == solo.id_pairs()
+        # draw_batch checks every seed before it draws anything.
+        with pytest.raises(InvalidSpecError):
+            twin.draw_batch([(5, 1), (5, -2)])
+        assert twin.stats.requests == 0
+    finally:
+        twin.close()
+        core.close()

@@ -223,6 +223,40 @@ class TestErrorMapping:
 
         assert run_with_server(scenario) == 400
 
+    @pytest.mark.parametrize(
+        ("headers", "status"),
+        [
+            pytest.param(b"Content-Length: abc\r\n", 400, id="non-numeric-length"),
+            pytest.param(b"Content-Length: -5\r\n", 400, id="negative-length"),
+            pytest.param(b"X: " + b"a" * 70_000 + b"\r\n", 400, id="line-over-stream-limit"),
+            pytest.param(b"Content-Length: 9000000\r\n", 413, id="body-too-large"),
+            pytest.param((b"X: " + b"a" * 2_000 + b"\r\n") * 40, 400, id="header-section-too-large"),
+        ],
+    )
+    def test_malformed_framing_gets_a_reply(self, headers, status):
+        loop_errors = []
+
+        async def scenario(server):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                # A well-framed GET /healthz is a 200, so any 400/413 is the framing's.
+                writer.write(b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n")
+                await writer.drain()
+                return await reader.readline()
+            finally:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except ConnectionError:
+                    pass  # the server closed first, with request bytes unread
+
+        status_line = run_with_server(scenario)
+        assert status_line.split(b" ")[1:2] == [str(status).encode()]
+        assert loop_errors == []
+
     def test_overload_is_503_with_retry_after(self):
         core = make_core(
             ServiceConfig(
