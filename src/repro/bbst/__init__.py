@@ -21,9 +21,13 @@ Structure (Definition 3 and Section IV-B):
   second binary search along the y axis.
 
 :class:`~repro.bbst.cell_index.CellIndex` bundles the two trees of one cell;
-:class:`~repro.bbst.join_index.BBSTJoinIndex` bundles the grid plus one
-``CellIndex`` per cell and exposes the upper-bounding and sampling primitives
-that :class:`repro.core.bbst_sampler.BBSTSampler` consumes.
+:class:`~repro.bbst.join_index.BBSTJoinIndex` bundles the grid plus the
+bucket envelopes of every cell as flat arrays and exposes the upper-bounding
+and sampling primitives that :class:`repro.core.bbst_sampler.BBSTSampler`
+consumes.  Its batch primitives count a corner cell's qualifying buckets
+with an x-pruned scan of the envelopes (the same count the tree query
+returns); only the scalar ``vectorized=False`` oracle builds the
+``CellIndex`` trees.
 """
 
 from repro.bbst.bucket import Bucket, build_buckets, bucket_capacity_for

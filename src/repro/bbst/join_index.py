@@ -1,8 +1,12 @@
-"""Grid + per-cell BBSTs: the complete index behind the proposed algorithm.
+"""Grid + bucket envelopes: the complete index behind the proposed algorithm.
 
 :class:`BBSTJoinIndex` performs the *online data structure building phase* of
-Algorithm 1 (grid mapping, per-cell y-sorted copies, per-cell BBST pairs) and
-exposes the two primitives the sampler needs:
+Algorithm 1 (grid mapping, per-cell y-sorted copies, the bucket partition of
+Definition 3) and exposes the two primitives the sampler needs.  The batch
+engine reads only flat arrays: the grid's :class:`~repro.grid.grid.GridFlat`
+views and the :class:`BucketArrays` envelopes derived from them.  The
+per-cell BBST pairs (Algorithm 2) are built lazily, on the first call of the
+scalar (``vectorized=False``) oracle below:
 
 * :meth:`BBSTJoinIndex.contributions` - for a query point ``r``, the per-cell
   upper bounds ``mu(r, c)`` over the (at most nine) non-empty cells of the
@@ -22,14 +26,14 @@ import numpy as np
 
 from repro.bbst.bucket import Bucket, bucket_capacity_for
 from repro.bbst.cell_index import CellIndex
-from repro.core.batching import pick_int_scalar
+from repro.core.batching import pick_int_scalar, ragged_offsets
 from repro.core.validation import validate_half_extent
 from repro.errors import InvalidSpecError
 from repro.kernels.backends import get_kernels, resolve_backend
 from repro.geometry.point import PointSet
 from repro.geometry.rect import Rect, window_around
 from repro.grid.cell import GridCell
-from repro.grid.grid import Grid
+from repro.grid.grid import Grid, GridFlat
 from repro.grid.neighbors import CASE_CORNER, NEIGHBOR_OFFSETS, NeighborKind
 
 __all__ = ["CellContribution", "BBSTJoinIndex", "BucketArrays"]
@@ -90,6 +94,43 @@ class BucketArrays:
     max_y: np.ndarray
     point_start: np.ndarray
     sizes: np.ndarray
+
+    @classmethod
+    def from_flat(cls, flat: GridFlat, capacity: int) -> "BucketArrays":
+        """The envelopes of every cell's buckets, read off the grid-flat views.
+
+        Bucket ``k`` of a cell is its x-sorted run ``[k * capacity,
+        min((k + 1) * capacity, len))``, so its x envelope is the run's end
+        points and its y envelope one min/max reduction over ``ys_by_x``.
+        The buckets of all cells tile the flat arrays, so one ``reduceat``
+        per bound covers every bucket.  The values equal those
+        :func:`~repro.bbst.bucket.build_buckets` stores.
+        """
+        counts = -(-flat.lengths // capacity)
+        starts = (
+            np.concatenate(([0], np.cumsum(counts)[:-1]))
+            if counts.size
+            else np.empty(0, dtype=np.int64)
+        )
+        cell, k = ragged_offsets(counts)
+        point_start = k * capacity
+        sizes = np.minimum(flat.lengths[cell] - point_start, capacity)
+        first = flat.starts[cell] + point_start
+        if first.size:
+            min_y = np.minimum.reduceat(flat.ys_by_x, first)
+            max_y = np.maximum.reduceat(flat.ys_by_x, first)
+        else:
+            min_y = max_y = np.empty(0, dtype=np.float64)
+        return cls(
+            starts=starts,
+            counts=counts,
+            min_x=flat.xs_by_x[first],
+            max_x=flat.xs_by_x[first + sizes - 1],
+            min_y=min_y,
+            max_y=max_y,
+            point_start=point_start,
+            sizes=sizes,
+        )
 
     def nbytes(self) -> int:
         """Approximate memory footprint of the envelope arrays."""
@@ -194,9 +235,12 @@ class BBSTJoinIndex:
         if self._capacity < 1:
             raise InvalidSpecError("bucket_capacity must be at least 1")
         self._grid = Grid(s_points, cell_size=self._half_extent)
-        self._cell_indexes: dict[tuple[int, int], CellIndex] | None = {}
+        # The batch engine reads only the grid-flat views and the bucket
+        # envelopes; the per-cell trees wait for the scalar oracle.
+        self._cell_indexes: dict[tuple[int, int], CellIndex] | None = None
         self._bucket_arrays: BucketArrays | None = None
-        self._build_cell_structures()
+        if self.uses_bucket_arrays:
+            self.bucket_arrays()
 
     @classmethod
     def from_prepared(
@@ -211,12 +255,10 @@ class BBSTJoinIndex:
     ) -> "BBSTJoinIndex":
         """Reassemble an index around a restored grid (artifact warm start).
 
-        The per-cell corner structures - the dominant build cost - are *not*
-        rebuilt here: the batch sampling path needs only the grid-flat views
-        plus the persisted bucket envelope arrays.  ``_cell_indexes`` is left
-        as a lazy sentinel and :meth:`_ensure_cell_structures` rebuilds the
-        per-cell trees deterministically on the first code path that really
-        needs them (scalar draws, dynamic maintenance).
+        The persisted bucket envelopes are adopted as they are (``None``
+        derives them from the grid-flat views on first use).  As after a
+        cold build, the per-cell trees are left to
+        :meth:`_ensure_cell_structures`.
         """
         index = cls.__new__(cls)
         index._points = s_points
@@ -232,7 +274,7 @@ class BBSTJoinIndex:
         return index
 
     def _ensure_cell_structures(self) -> None:
-        """Rebuild the per-cell corner structures when warm start skipped them."""
+        """Build the per-cell corner structures on the scalar oracle's first call."""
         if self._cell_indexes is None:
             self._build_cell_structures()
 
@@ -264,30 +306,35 @@ class BBSTJoinIndex:
         """Incrementally maintain the index after grid cells changed.
 
         The grid itself must already have been updated (see
-        :meth:`repro.grid.grid.Grid.apply_cell_updates`); this rebuilds only
-        the *affected* per-cell corner structures.  When the inner set's size
-        crossed a power of two - so the paper's ``ceil(log2 m)`` bucket
-        capacity changed and every bucket partition with it - all cell
-        structures are rebuilt instead (unless an explicit capacity override
-        pins it, or the subclass is capacity-independent).
+        :meth:`repro.grid.grid.Grid.apply_cell_updates`).  The bucket
+        envelopes are re-derived from the updated grid-flat view.  When the
+        inner set's size crossed a power of two, the paper's
+        ``ceil(log2 m)`` bucket capacity changed and every bucket partition
+        with it (unless an explicit capacity override pins it, or the
+        subclass is capacity-independent).  Per-cell trees, if the scalar
+        oracle built them, are kept current: the affected ones are rebuilt,
+        or all of them after a capacity change.
 
-        Returns True when *every* cell structure was rebuilt (the caller must
-        then refresh all corner bounds, not just the affected rows).
+        Returns True when every cell's corner structure changed (the caller
+        must then refresh all corner bounds, not just the affected rows).
         """
         if points is not None:
             self._points = points
-        self._ensure_cell_structures()
         rebuilt_all = False
         if self.capacity_dependent and not self._capacity_override:
             fresh_capacity = bucket_capacity_for(num_points)
             if fresh_capacity != self._capacity:
                 self._capacity = fresh_capacity
-                self._build_cell_structures()
                 rebuilt_all = True
-        if not rebuilt_all:
-            for key, cell in replacements.items():
-                self._refresh_cell(key, cell)
+        if self._cell_indexes is not None:
+            if rebuilt_all:
+                self._build_cell_structures()
+            else:
+                for key, cell in replacements.items():
+                    self._refresh_cell(key, cell)
         self._bucket_arrays = None
+        if self.uses_bucket_arrays:
+            self.bucket_arrays()
         return rebuilt_all
 
     # ------------------------------------------------------------------
@@ -336,20 +383,17 @@ class BBSTJoinIndex:
         return window_around(x, y, self._half_extent)
 
     def nbytes(self) -> int:
-        """Approximate memory footprint: grid arrays plus every cell's BBSTs.
+        """Approximate memory footprint: grid arrays plus bucket envelopes.
 
-        A warm-started index whose per-cell trees were never rebuilt reports
-        the grid plus the persisted bucket envelopes instead - deliberately
-        *not* forcing the lazy rebuild just to measure it.
+        The per-cell BBSTs count only once the scalar oracle has built them;
+        measuring never forces them.
         """
-        if self._cell_indexes is None:
-            total = self._grid.nbytes()
-            if self._bucket_arrays is not None:
-                total += self._bucket_arrays.nbytes()
-            return total
-        return self._grid.nbytes() + sum(
-            index.nbytes() for index in self._cell_indexes.values()
-        )
+        total = self._grid.nbytes()
+        if self._bucket_arrays is not None:
+            total += self._bucket_arrays.nbytes()
+        if self._cell_indexes is not None:
+            total += sum(index.nbytes() for index in self._cell_indexes.values())
+        return total
 
     # ------------------------------------------------------------------
     # Approximate range counting phase (per query point)
@@ -434,30 +478,9 @@ class BBSTJoinIndex:
     # Batched (vectorised) counting and sampling primitives
     # ------------------------------------------------------------------
     def bucket_arrays(self) -> BucketArrays:
-        """Flat bucket envelope arrays (built lazily, then cached)."""
+        """Flat bucket envelope arrays (derived from the grid-flat view, then cached)."""
         if self._bucket_arrays is None:
-            self._ensure_cell_structures()
-            flat = self._grid.flat()
-            buckets_per_cell = [
-                self._cell_indexes[cell.key].buckets for cell in flat.cells
-            ]
-            counts = np.array([len(b) for b in buckets_per_cell], dtype=np.int64)
-            starts = (
-                np.concatenate(([0], np.cumsum(counts)[:-1]))
-                if counts.size
-                else np.empty(0, dtype=np.int64)
-            )
-            all_buckets = [b for cell_buckets in buckets_per_cell for b in cell_buckets]
-            self._bucket_arrays = BucketArrays(
-                starts=starts,
-                counts=counts,
-                min_x=np.array([b.min_x for b in all_buckets], dtype=np.float64),
-                max_x=np.array([b.max_x for b in all_buckets], dtype=np.float64),
-                min_y=np.array([b.min_y for b in all_buckets], dtype=np.float64),
-                max_y=np.array([b.max_y for b in all_buckets], dtype=np.float64),
-                point_start=np.array([b.start for b in all_buckets], dtype=np.int64),
-                sizes=np.array([b.size for b in all_buckets], dtype=np.int64),
-            )
+            self._bucket_arrays = BucketArrays.from_flat(self._grid.flat(), self._capacity)
         return self._bucket_arrays
 
     def batch_bounds(

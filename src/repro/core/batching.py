@@ -38,6 +38,7 @@ from repro.errors import SamplingExhaustedError
 __all__ = [
     "MIN_BATCH",
     "MAX_BATCH",
+    "MAX_BLOCK_ITEMS",
     "pick_int",
     "pick_int_scalar",
     "ragged_offsets",
@@ -54,6 +55,10 @@ MIN_BATCH = 64
 
 #: Largest round the adaptive refill will draw (bounds per-round memory).
 MAX_BATCH = 1 << 18
+
+#: Largest expansion one block of :func:`group_blocks` holds (bounds the
+#: temporary memory of the vectorised scans).
+MAX_BLOCK_ITEMS = 4_000_000
 
 #: Refill overdraw factor: rounds request slightly more attempts than the
 #: acceptance-rate estimate suggests so most requests finish in one round.
@@ -143,7 +148,7 @@ def select_kth_true(
 
 
 def group_blocks(
-    lengths: np.ndarray, max_items: int = 4_000_000
+    lengths: np.ndarray, max_items: int = MAX_BLOCK_ITEMS
 ) -> Iterator[tuple[int, int]]:
     """Split groups into contiguous blocks whose expansions stay bounded.
 

@@ -4,10 +4,12 @@
 Algorithm 1 skeleton of :class:`repro.core.grid_sampler_base.GridJoinSamplerBase`:
 
 * offline: pre-sort ``S`` by x (the only preprocessing BBST needs, Table II);
-* GM: grid mapping + per-cell ``Sy(c)`` copies + two BBSTs per cell
-  (O(m log m), Lemma 3);
+* GM: grid mapping + per-cell ``Sy(c)`` copies + the bucket envelopes of
+  every cell (Definition 3); the two BBSTs per cell (Lemma 3) are built only
+  by the scalar ``vectorized=False`` oracle;
 * UB: per-point upper bounds ``mu(r)`` with exact counts for cases 1/2 and
-  BBST counts for case 3 (O(n log m), Lemmas 4-5), then the alias structures;
+  the BBST's qualifying-bucket counts for case 3 (Lemmas 4-5), read off the
+  envelopes by an x-pruned scan, then the alias structures;
 * sampling: O~(1) expected per accepted pair (Lemma 6), with the final
   ``w(r) ∩ s`` check guaranteeing uniformity (Theorem 3).
 """
@@ -122,7 +124,7 @@ class BBSTSampler(GridJoinSamplerBase):
                 f"cells but the grid has {grid.num_cells}"
             )
         return BBSTJoinIndex.from_prepared(
-            self.sorted_s,
+            self.spec.s_points,
             self.spec.half_extent,
             grid,
             bucket_capacity=capacity,

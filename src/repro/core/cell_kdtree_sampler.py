@@ -35,7 +35,9 @@ class CellKDTreeJoinIndex(BBSTJoinIndex):
     so ``mu(r)`` is exact as well; the price is the kd-tree traversal per
     corner cell during both the counting and the sampling phase.  The batch
     engine's corner primitives compute the same exact quantities with one
-    vectorised containment pass over the (query, cell point) candidate pairs.
+    vectorised containment pass over the (query, cell point) candidate pairs,
+    so, as for the BBST index, only the scalar oracle builds the per-cell
+    trees.
     """
 
     #: Exact corner sampling never rejects, so no slot variates are needed.
@@ -71,7 +73,7 @@ class CellKDTreeJoinIndex(BBSTJoinIndex):
 
     def nbytes(self) -> int:
         if self._cell_indexes is None:
-            # Warm-started: the lazy per-cell trees were never rebuilt.
+            # Only the scalar oracle builds the per-cell trees.
             return self._grid.nbytes()
         return self._grid.nbytes() + sum(tree.nbytes() for tree in self._cell_trees.values())
 
@@ -233,7 +235,7 @@ class CellKDTreeSampler(GridJoinSamplerBase):
         # No bucket envelopes to restore: the exact corner primitives scan the
         # grid-flat views, and the per-cell kd-trees rebuild lazily.
         return CellKDTreeJoinIndex.from_prepared(
-            self.sorted_s,
+            self.spec.s_points,
             self.spec.half_extent,
             grid,
             bucket_capacity=max(1, int(meta.get("bucket_capacity", 1))),

@@ -273,10 +273,8 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         """The cell-id matrix, the grid's sorted views and the bucket envelopes.
 
         Together with the count-phase state this is everything the
-        *vectorised* draw path touches.  The per-cell corner trees are
-        deliberately omitted: they are the dominant build cost and only the
-        scalar/maintenance paths need them, so warm start rebuilds them
-        lazily (see
+        *vectorised* draw path and dynamic maintenance touch.  The per-cell
+        corner trees are left out: only the scalar oracle builds them (see
         :meth:`repro.bbst.join_index.BBSTJoinIndex._ensure_cell_structures`).
         """
         index = self._index
@@ -304,6 +302,14 @@ class GridJoinSamplerBase(PersistentJoinSampler):
             "capacity_override": bool(index.capacity_override),
         }
         return meta, arrays
+
+    def adopt_prepared_arrays(
+        self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
+    ) -> None:
+        # The artifact's grid views already hold S in cell/x order, so attach
+        # skips the offline x-sort; ``sorted_s`` sorts on first use instead.
+        self._preprocessed = True
+        super().adopt_prepared_arrays(meta, arrays)
 
     def _adopt_extra(
         self, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
@@ -345,7 +351,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
                 keys_ix,
                 keys_iy,
                 lengths,
-                source_name=self._sorted_s.name,
+                source_name=spec.s_points.name,
                 **views,
             )
         except ValueError as exc:
@@ -378,6 +384,8 @@ class GridJoinSamplerBase(PersistentJoinSampler):
     @property
     def sorted_s(self) -> PointSet:
         """The inner set pre-sorted by x (available after preprocessing)."""
+        if self._sorted_s is None and self.is_preprocessed:
+            self._sorted_s = self.spec.s_points.sorted_by_x()
         return self._sorted_s
 
     # ------------------------------------------------------------------

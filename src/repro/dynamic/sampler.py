@@ -6,8 +6,9 @@ whose registry entry advertises ``supports_updates``, i.e. the grid samplers
 under point insertions and deletions **without rebuilding them**:
 
 * the hash grid over ``S`` is patched cell by cell - only the cells whose
-  membership changed are re-sorted and get their corner structures (BBSTs /
-  kd-trees) rebuilt, in the canonical order a fresh build produces;
+  membership changed are re-sorted, in the canonical order a fresh build
+  produces, and the bucket envelopes are re-derived from the updated
+  grid-flat view;
 * the dense ``(n, 9)`` per-point bound matrix is maintained row-wise: an
   ``R`` insertion appends freshly counted rows, an ``R`` deletion compacts,
   and an ``S`` change recounts only the rows whose 3x3 block touches an
@@ -79,12 +80,12 @@ class UpdateReport:
     side: str
     inserted: int
     deleted: int
-    #: Grid cells whose membership (and corner structure) was rebuilt.
+    #: Grid cells whose membership was rebuilt.
     affected_cells: int
     #: Bound-matrix rows recounted (R rows whose 3x3 block was affected).
     refreshed_rows: int
-    #: Whether every per-cell structure had to be rebuilt (bucket capacity
-    #: crossed a power of two) rather than only the affected ones.
+    #: Whether every cell's bucket partition changed (bucket capacity
+    #: crossed a power of two), so every row was recounted.
     structure_rebuilt: bool
     seconds: float
     inserted_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -316,7 +317,7 @@ class DynamicSampler(JoinSampler):
     def flush(self) -> None:
         """Force the alias rebuild, restoring the exact fresh-build state.
 
-        After ``flush()`` the maintained state (grid, per-cell structures,
+        After ``flush()`` the maintained state (grid, bucket envelopes,
         bound matrix, alias) is bit-identical to a freshly built static
         sampler over the current ``(R, S)``, so draws with equal seeds match
         bit for bit.
@@ -464,10 +465,13 @@ class DynamicSampler(JoinSampler):
         grid = index.grid
 
         affected_keys: set[tuple[int, int]] = set()
+        deleted_keys: set[tuple[int, int]] = set()
+        deleted = np.sort(del_ids)
         if del_ids.size:
             _positions, rem_xs, rem_ys = store_s.delete(del_ids)
             rem_ix, rem_iy = self._keys_for(rem_xs, rem_ys)
-            affected_keys.update(zip(rem_ix.tolist(), rem_iy.tolist()))
+            deleted_keys.update(zip(rem_ix.tolist(), rem_iy.tolist()))
+            affected_keys.update(deleted_keys)
         inserted_ids = np.empty(0, dtype=np.int64)
         ins_by_key: dict[tuple[int, int], list[int]] = {}
         if ins_xs.size:
@@ -484,8 +488,9 @@ class DynamicSampler(JoinSampler):
             cell = grid.get(key)
             if cell is not None:
                 xs, ys, ids = cell.xs_by_x, cell.ys_by_x, cell.ids_by_x
-                if del_ids.size:
-                    keep = ~np.isin(ids, del_ids)
+                if key in deleted_keys:
+                    found = np.minimum(np.searchsorted(deleted, ids), deleted.size - 1)
+                    keep = deleted[found] != ids
                     xs, ys, ids = xs[keep], ys[keep], ids[keep]
             else:
                 xs = np.empty(0, dtype=np.float64)

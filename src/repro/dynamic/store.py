@@ -29,19 +29,32 @@ __all__ = ["DynamicPointStore"]
 
 
 class DynamicPointStore:
-    """Growable (ids, xs, ys) columns with id-addressed deletion."""
+    """Growable (ids, xs, ys) columns with id-addressed deletion.
 
-    __slots__ = ("_ids", "_xs", "_ys", "_positions", "_next_id", "_snapshot", "name")
+    Ids resolve to positions through a sorted-id index: ``_sorted_ids`` holds
+    the live ids ascending and ``_sorted_positions`` each one's position, so
+    a lookup is one binary search and no update walks the ids in Python.
+    """
+
+    __slots__ = (
+        "_ids",
+        "_xs",
+        "_ys",
+        "_sorted_ids",
+        "_sorted_positions",
+        "_next_id",
+        "_snapshot",
+        "name",
+    )
 
     def __init__(self, points: PointSet) -> None:
         self._ids = points.ids.copy()
         self._xs = points.xs.copy()
         self._ys = points.ys.copy()
         self.name = points.name
-        self._positions: dict[int, int] = {
-            int(pid): index for index, pid in enumerate(self._ids)
-        }
-        if len(self._positions) != self._ids.shape[0]:
+        self._sorted_positions = np.argsort(self._ids, kind="stable")
+        self._sorted_ids = self._ids[self._sorted_positions]
+        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
             raise InvalidSpecError("point ids must be unique to support deletion by id")
         self._next_id = int(self._ids.max()) + 1 if self._ids.size else 0
         self._snapshot: PointSet | None = points
@@ -63,12 +76,24 @@ class DynamicPointStore:
     def ys(self) -> np.ndarray:
         return self._ys
 
+    def _slots_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index slots of ``ids`` in the sorted-id index, and which are live."""
+        slots = np.searchsorted(self._sorted_ids, ids)
+        found = np.zeros(ids.shape, dtype=bool)
+        inside = slots < self._sorted_ids.size
+        found[inside] = self._sorted_ids[slots[inside]] == ids[inside]
+        return slots, found
+
     def position_of(self, point_id: int) -> int:
         """Current positional index of a point (``KeyError`` when absent)."""
-        return self._positions[int(point_id)]
+        pid = int(point_id)
+        slots, found = self._slots_of(np.array([pid], dtype=np.int64))
+        if not found[0]:
+            raise UnknownKeyError(pid)
+        return int(self._sorted_positions[slots[0]])
 
     def __contains__(self, point_id: int) -> bool:
-        return int(point_id) in self._positions
+        return bool(self._slots_of(np.array([int(point_id)], dtype=np.int64))[1][0])
 
     def snapshot(self) -> PointSet:
         """Read-only :class:`PointSet` of the current content (cached)."""
@@ -106,17 +131,20 @@ class DynamicPointStore:
                 raise InvalidSpecError("ids must have the same length as the coordinates")
             if np.unique(new_ids).size != count:
                 raise InvalidSpecError("inserted ids must be unique")
-            for pid in new_ids:
-                if int(pid) in self._positions:
-                    raise InvalidSpecError(f"point id {int(pid)} is already present")
+            taken = self._slots_of(new_ids)[1]
+            if taken.any():
+                pid = int(new_ids[np.argmax(taken)])
+                raise InvalidSpecError(f"point id {pid} is already present")
         if count == 0:
             return new_ids
         base = len(self)
         self._ids = np.concatenate((self._ids, new_ids))
         self._xs = np.concatenate((self._xs, xs))
         self._ys = np.concatenate((self._ys, ys))
-        for offset, pid in enumerate(new_ids):
-            self._positions[int(pid)] = base + offset
+        order = np.argsort(new_ids, kind="stable")
+        slots = np.searchsorted(self._sorted_ids, new_ids[order])
+        self._sorted_ids = np.insert(self._sorted_ids, slots, new_ids[order])
+        self._sorted_positions = np.insert(self._sorted_positions, slots, base + order)
         self._next_id = max(self._next_id, int(new_ids.max()) + 1)
         self._snapshot = None
         return new_ids
@@ -134,12 +162,11 @@ class DynamicPointStore:
             return empty, np.empty(0), np.empty(0)
         if np.unique(wanted).size != wanted.size:
             raise InvalidSpecError("deleted ids must be unique")
-        positions = np.empty(wanted.size, dtype=np.int64)
-        for slot, pid in enumerate(wanted):
-            try:
-                positions[slot] = self._positions[int(pid)]
-            except KeyError:
-                raise UnknownKeyError(f"point id {int(pid)} is not present") from None
+        slots, found = self._slots_of(wanted)
+        if not found.all():
+            pid = int(wanted[np.argmin(found)])
+            raise UnknownKeyError(f"point id {pid} is not present")
+        positions = self._sorted_positions[slots]
         removed_xs = self._xs[positions].copy()
         removed_ys = self._ys[positions].copy()
         keep = np.ones(len(self), dtype=bool)
@@ -147,9 +174,13 @@ class DynamicPointStore:
         self._ids = self._ids[keep]
         self._xs = self._xs[keep]
         self._ys = self._ys[keep]
-        self._positions = {
-            int(pid): index for index, pid in enumerate(self._ids)
-        }
+        # Compaction moves each survivor down by the number of removed
+        # positions below it.
+        live = np.ones(self._sorted_ids.size, dtype=bool)
+        live[slots] = False
+        survivors = self._sorted_positions[live]
+        self._sorted_ids = self._sorted_ids[live]
+        self._sorted_positions = survivors - np.searchsorted(np.sort(positions), survivors)
         self._snapshot = None
         return positions, removed_xs, removed_ys
 

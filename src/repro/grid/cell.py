@@ -8,9 +8,9 @@ Every cell keeps two sorted views of the points of ``S`` that fall inside it:
 * ``by y`` - the copy ``Sy(c)`` built in the online phase (Algorithm 1,
   lines 3-4); case-2 cells below/above the window binary-search this view.
 
-The corner (case 3) cells additionally build two BBSTs on top of the x-sorted
-view; those live in :mod:`repro.bbst.cell_index` and reference the arrays
-stored here.
+The corner (case 3) cells additionally partition the x-sorted view into
+buckets; the bucket envelopes and, for the scalar oracle, the two BBSTs over
+them live in :mod:`repro.bbst` and reference the arrays stored here.
 """
 
 from __future__ import annotations

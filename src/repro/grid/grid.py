@@ -214,18 +214,23 @@ class Grid:
             if lengths.size
             else np.empty(0, dtype=np.int64)
         )
+        # Cells slice plain ndarray views of the same buffers: slicing a
+        # memmap costs about eight times more per slice.
+        cell_xs, cell_ys, cell_ids, cell_xs_y, cell_ys_y, cell_ids_y = (
+            np.asarray(view) for view in views
+        )
         for i in range(lengths.size):
             key = (int(keys_ix[i]), int(keys_iy[i]))
             lo = int(starts[i])
             hi = lo + int(lengths[i])
             grid._cells[key] = GridCell(
                 key=key,
-                xs_by_x=xs_by_x[lo:hi],
-                ys_by_x=ys_by_x[lo:hi],
-                ids_by_x=ids_by_x[lo:hi],
-                xs_by_y=xs_by_y[lo:hi],
-                ys_by_y=ys_by_y[lo:hi],
-                ids_by_y=ids_by_y[lo:hi],
+                xs_by_x=cell_xs[lo:hi],
+                ys_by_x=cell_ys[lo:hi],
+                ids_by_x=cell_ids[lo:hi],
+                xs_by_y=cell_xs_y[lo:hi],
+                ys_by_y=cell_ys_y[lo:hi],
+                ids_by_y=cell_ids_y[lo:hi],
                 bounds=Rect(
                     xmin=key[0] * grid._cell_size,
                     ymin=key[1] * grid._cell_size,
@@ -367,14 +372,15 @@ class Grid:
         cell index) matches a from-scratch grid over the same points.
         """
         for key, cell in replacements.items():
-            if cell is None:
-                self._cells.pop(key, None)
-            else:
-                if cell.key != key:
-                    raise InvalidSpecError(f"cell key {cell.key} does not match slot {key}")
+            if cell is not None and cell.key != key:
+                raise InvalidSpecError(f"cell key {cell.key} does not match slot {key}")
+            old = self._cells.pop(key, None)
+            if old is not None:
+                self._size -= len(old)
+            if cell is not None:
                 self._cells[key] = cell
+                self._size += len(cell)
         self._cells = dict(sorted(self._cells.items()))
-        self._size = sum(len(cell) for cell in self._cells.values())
         self._flat = None
 
     # ------------------------------------------------------------------
@@ -501,8 +507,16 @@ class Grid:
         return np.array([len(cell) for cell in self._cells.values()], dtype=np.int64)
 
     def nbytes(self) -> int:
-        """Approximate memory footprint of all cells."""
-        return sum(cell.nbytes() for cell in self._cells.values())
+        """Approximate memory footprint of all cells' sorted views."""
+        flat = self.flat()
+        return int(
+            flat.xs_by_x.nbytes
+            + flat.ys_by_x.nbytes
+            + flat.ids_by_x.nbytes
+            + flat.xs_by_y.nbytes
+            + flat.ys_by_y.nbytes
+            + flat.ids_by_y.nbytes
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

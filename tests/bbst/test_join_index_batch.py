@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.artifacts import attach_sampler_artifact, save_sampler_artifact
+from repro.bbst.cell_index import CellIndex
 from repro.bbst.join_index import BBSTJoinIndex, corner_bucket_qualifies
+from repro.core.bbst_sampler import BBSTSampler
 from repro.core.cell_kdtree_sampler import CellKDTreeJoinIndex
+from repro.core.config import JoinSpec
+from repro.dynamic import DynamicSampler
 from repro.geometry.point import PointSet
 from repro.grid.neighbors import NEIGHBOR_OFFSETS
+from repro.kernels.numpy_backend import _DENSE_MIN_PAIRS
 
 _COLUMN = {kind: column for column, kind in enumerate(NEIGHBOR_OFFSETS)}
 
@@ -31,6 +37,24 @@ class TestBatchBounds:
         qy = rng.random(150) * 900 - 50
         bounds = index.batch_bounds(qx, qy)
         for i in range(150):
+            np.testing.assert_array_equal(
+                bounds[i], _scalar_bounds(index, float(qx[i]), float(qy[i]))
+            )
+
+    def test_matches_scalar_contributions_on_a_hotspot(self, rng):
+        # 2,500 queries around one dense cell make it a corner cell counted
+        # as a dense block (past the kernel's light/dense threshold).
+        xs = np.concatenate((rng.uniform(300.0, 400.0, 3_000), rng.uniform(0.0, 1_000.0, 500)))
+        ys = np.concatenate((rng.uniform(300.0, 400.0, 3_000), rng.uniform(0.0, 1_000.0, 500)))
+        index = BBSTJoinIndex(PointSet(xs=xs, ys=ys), half_extent=100.0)
+        qx = rng.uniform(200.0, 500.0, 2_500)
+        qy = rng.uniform(200.0, 500.0, 2_500)
+        hotspot = index.grid.flat().cells.index(index.grid.get((3, 3)))
+        corner_ids = index.grid.neighbor_cell_ids(qx, qy)[:, 5:]
+        queries = int(np.count_nonzero(corner_ids == hotspot))
+        assert queries * index.bucket_arrays().counts[hotspot] >= _DENSE_MIN_PAIRS
+        bounds = index.batch_bounds(qx, qy)
+        for i in range(qx.size):
             np.testing.assert_array_equal(
                 bounds[i], _scalar_bounds(index, float(qx[i]), float(qy[i]))
             )
@@ -78,20 +102,106 @@ class TestCornerDominance:
         assert CellKDTreeJoinIndex.needs_slot_variates is False
 
 
+def _assert_arrays_mirror_the_buckets(index):
+    arrays = index.bucket_arrays()
+    flat = index.grid.flat()
+    assert arrays.counts.size == len(flat.cells)
+    for cell_id, cell in enumerate(flat.cells):
+        buckets = index.cell_index(cell.key).buckets
+        lo = int(arrays.starts[cell_id])
+        assert arrays.counts[cell_id] == len(buckets)
+        for j, bucket in enumerate(buckets):
+            assert arrays.min_x[lo + j] == bucket.min_x
+            assert arrays.max_x[lo + j] == bucket.max_x
+            assert arrays.min_y[lo + j] == bucket.min_y
+            assert arrays.max_y[lo + j] == bucket.max_y
+            assert arrays.point_start[lo + j] == bucket.start
+            assert arrays.sizes[lo + j] == bucket.size
+
+
+def _spec(rng, n: int, m: int) -> JoinSpec:
+    return JoinSpec(
+        r_points=PointSet(xs=rng.uniform(0, 400, n), ys=rng.uniform(0, 400, n), name="R"),
+        s_points=PointSet(xs=rng.uniform(0, 400, m), ys=rng.uniform(0, 400, m), name="S"),
+        half_extent=45.0,
+    )
+
+
+def _s_update(sampler, rng, inserts: int, deletes: int):
+    doomed = rng.choice(sampler.s_points.ids, size=deletes, replace=False)
+    return sampler.update(
+        "s",
+        insert=(rng.uniform(0, 400, inserts), rng.uniform(0, 400, inserts)),
+        delete=doomed,
+    )
+
+
 class TestBucketArrays:
     def test_arrays_mirror_the_buckets(self, rng):
         points = PointSet(xs=np.sort(rng.random(250) * 400), ys=rng.random(250) * 400)
         index = BBSTJoinIndex(points, half_extent=45.0)
-        arrays = index.bucket_arrays()
-        flat = index.grid.flat()
-        for cell_id, cell in enumerate(flat.cells):
-            buckets = index.cell_index(cell.key).buckets
-            lo = int(arrays.starts[cell_id])
-            assert arrays.counts[cell_id] == len(buckets)
-            for j, bucket in enumerate(buckets):
-                assert arrays.min_x[lo + j] == bucket.min_x
-                assert arrays.max_x[lo + j] == bucket.max_x
-                assert arrays.min_y[lo + j] == bucket.min_y
-                assert arrays.max_y[lo + j] == bucket.max_y
-                assert arrays.point_start[lo + j] == bucket.start
-                assert arrays.sizes[lo + j] == bucket.size
+        _assert_arrays_mirror_the_buckets(index)
+
+        # The envelopes track S updates, before and after a capacity change
+        # (m = 240 -> 250 keeps ceil(log2 m) = 8; 250 -> 260 makes it 9).
+        sampler = DynamicSampler(_spec(rng, 200, 240), algorithm="bbst")
+        sampler.prepare()
+        report = _s_update(sampler, rng, inserts=20, deletes=10)
+        assert not report.structure_rebuilt
+        _assert_arrays_mirror_the_buckets(sampler.inner.index)
+        report = _s_update(sampler, rng, inserts=15, deletes=5)
+        assert report.structure_rebuilt and sampler.inner.index.bucket_capacity == 9
+        _assert_arrays_mirror_the_buckets(sampler.inner.index)
+
+
+class TestNoTreesOnTheBatchPath:
+    """Only the scalar (``vectorized=False``) oracle builds per-cell BBSTs."""
+
+    @pytest.fixture
+    def no_trees(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the batch path built a per-cell BBST")
+
+        monkeypatch.setattr(CellIndex, "__init__", refuse)
+
+    def test_cold_prepare_and_sample(self, no_trees, rng):
+        sampler = BBSTSampler(_spec(rng, 300, 400))
+        sampler.prepare()
+        assert len(sampler.sample(200, seed=1)) == 200
+        assert sampler.index_nbytes() > 0
+
+    def test_updates_and_a_capacity_crossing(self, no_trees, rng):
+        sampler = DynamicSampler(_spec(rng, 300, 500), algorithm="bbst")
+        sampler.prepare()
+        assert not _s_update(sampler, rng, inserts=10, deletes=10).structure_rebuilt
+        assert _s_update(sampler, rng, inserts=30, deletes=0).structure_rebuilt
+        sampler.flush()
+        fresh = BBSTSampler(JoinSpec(sampler.r_points, sampler.s_points, 45.0))
+        assert [p.as_index_tuple() for p in sampler.sample(200, seed=3).pairs] == [
+            p.as_index_tuple() for p in fresh.sample(200, seed=3).pairs
+        ]
+
+    def test_attach_then_update(self, no_trees, rng, tmp_path):
+        spec = _spec(rng, 300, 400)
+        built = BBSTSampler(spec)
+        built.prepare()
+        save_sampler_artifact(built, tmp_path / "bbst")
+        warm = DynamicSampler(spec, algorithm="bbst")
+        attach_sampler_artifact(warm, tmp_path / "bbst")
+        _s_update(warm, rng, inserts=10, deletes=10)
+        assert len(warm.sample(100, seed=2)) == 100
+
+    def test_the_scalar_oracle_builds_the_trees(self, rng, monkeypatch):
+        built = []
+        original = CellIndex.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellIndex, "__init__", counting)
+        spec = _spec(rng, 300, 400)
+        BBSTSampler(spec).sample(100, seed=4)
+        assert not built
+        BBSTSampler(spec, vectorized=False).sample(100, seed=4)
+        assert built

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bbst.join_index import BBSTJoinIndex
+from repro.core.batching import MAX_BLOCK_ITEMS
 from repro.core.bbst_sampler import BBSTSampler
 from repro.core.config import JoinSpec
 from repro.core.kds_rejection import KDSRejectionSampler
@@ -23,6 +25,7 @@ from repro.core.kds_sampler import KDSSampler
 from repro.geometry.point import PointSet
 from repro.grid.grid import Grid
 from repro.kernels import get_kernels
+from repro.kernels.numpy_backend import _DENSE_MIN_PAIRS
 
 KERNELS = get_kernels("numpy")
 
@@ -177,6 +180,127 @@ class TestRejectionAccept:
         u_accept = np.array([0.0, 0.5, 0.0])
         accept = KERNELS.rejection_accept(exact, mu, u_accept)
         assert accept.tolist() == [True, True, False]
+
+
+# ----------------------------------------------------------------------
+# Corner counts: the kernel vs Definition 3 and Lemma 5, pair by pair
+# ----------------------------------------------------------------------
+#: ``(use_max_x, use_max_y)`` of the four corner kinds (Lemma 5).
+CORNER_FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _definition_counts(cell_ids, wxmin, wymin, wxmax, wymax, arrays, use_max_x, use_max_y):
+    """Qualifying buckets per query, evaluating the dominance test on every bucket."""
+    out = np.zeros(cell_ids.size, dtype=np.int64)
+    for i, cid in enumerate(cell_ids.tolist()):
+        run = slice(arrays.starts[cid], arrays.starts[cid] + arrays.counts[cid])
+        if use_max_x:
+            ok_x = arrays.max_x[run] >= wxmin[i]
+        else:
+            ok_x = arrays.min_x[run] <= wxmax[i]
+        if use_max_y:
+            ok_y = arrays.max_y[run] >= wymin[i]
+        else:
+            ok_y = arrays.min_y[run] <= wymax[i]
+        out[i] = np.count_nonzero(ok_x & ok_y)
+    return out
+
+
+def _corner_queries(index, rng, cell_ids, snap_share=0.0):
+    """Windows of side ``2l`` around each query's cell, some snapped to envelopes.
+
+    A snapped query takes all four window edges from the envelope of one
+    bucket of its cell, so every comparison it makes hits a tie.
+    """
+    arrays = index.bucket_arrays()
+    keys = np.array([cell.key for cell in index.grid.flat().cells], dtype=np.float64)
+    size = index.grid.cell_size
+    wxmin = (keys[cell_ids, 0] + rng.uniform(-1.0, 1.0, cell_ids.size)) * size
+    wymin = (keys[cell_ids, 1] + rng.uniform(-1.0, 1.0, cell_ids.size)) * size
+    wxmax = wxmin + 2 * index.half_extent
+    wymax = wymin + 2 * index.half_extent
+    for i in np.flatnonzero(rng.random(cell_ids.size) < snap_share):
+        cid = cell_ids[i]
+        bucket = arrays.starts[cid] + rng.integers(arrays.counts[cid])
+        wxmin[i], wxmax[i] = arrays.max_x[bucket], arrays.min_x[bucket]
+        wymin[i], wymax[i] = arrays.max_y[bucket], arrays.min_y[bucket]
+    return wxmin, wymin, wxmax, wymax
+
+
+def _check_corner_counts(index, cell_ids, windows):
+    arrays = index.bucket_arrays()
+    for use_max_x, use_max_y in CORNER_FLAGS:
+        got = KERNELS.corner_qualifying(
+            cell_ids,
+            *windows,
+            arrays.starts,
+            arrays.counts,
+            arrays.min_x,
+            arrays.max_x,
+            arrays.min_y,
+            arrays.max_y,
+            use_max_x,
+            use_max_y,
+        )
+        expected = _definition_counts(cell_ids, *windows, arrays, use_max_x, use_max_y)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+
+def _pairs_per_cell(index, cell_ids):
+    counts = index.bucket_arrays().counts
+    return np.bincount(cell_ids, minlength=counts.size) * counts
+
+
+class TestCornerQualifying:
+    def test_light_and_dense_groups(self):
+        rng = np.random.default_rng(2024)
+        # One hotspot cell among uniformly scattered points.
+        xs = np.concatenate((rng.uniform(500.0, 600.0, 3_000), rng.uniform(0.0, 2_000.0, 1_500)))
+        ys = np.concatenate((rng.uniform(500.0, 600.0, 3_000), rng.uniform(0.0, 2_000.0, 1_500)))
+        index = BBSTJoinIndex(PointSet(xs=xs, ys=ys), half_extent=100.0)
+        cell_ids = np.concatenate(
+            (
+                np.full(400, index.grid.flat().cells.index(index.grid.get((5, 5)))),
+                rng.integers(0, index.grid.num_cells, 600),
+            )
+        )
+        rng.shuffle(cell_ids)
+        pairs = _pairs_per_cell(index, cell_ids)
+        assert pairs.max() >= _DENSE_MIN_PAIRS
+        assert ((pairs > 0) & (pairs < _DENSE_MIN_PAIRS)).any()
+        _check_corner_counts(index, cell_ids, _corner_queries(index, rng, cell_ids, 0.2))
+
+    def test_dense_cell_past_the_block_cap(self):
+        rng = np.random.default_rng(7)
+        points = PointSet(xs=rng.uniform(0.0, 100.0, 50_000), ys=rng.uniform(0.0, 100.0, 50_000))
+        index = BBSTJoinIndex(points, half_extent=100.0)
+        assert index.grid.num_cells == 1
+        cell_ids = np.zeros(2_000, dtype=np.int64)
+        assert _pairs_per_cell(index, cell_ids)[0] > MAX_BLOCK_ITEMS
+        _check_corner_counts(index, cell_ids, _corner_queries(index, rng, cell_ids, 0.1))
+
+    @pytest.mark.parametrize("queries", [8, 600], ids=["light", "dense"])
+    def test_duplicate_x_across_bucket_boundaries(self, queries):
+        rng = np.random.default_rng(31)
+        # 40 distinct x values over 2,000 points: runs of equal x straddle
+        # bucket boundaries, and windows snap onto the shared envelopes.
+        xs = rng.integers(0, 40, 2_000) * 2.5
+        ys = rng.integers(0, 50, 2_000) * 2.0
+        index = BBSTJoinIndex(PointSet(xs=xs, ys=ys), half_extent=100.0)
+        assert (np.diff(index.bucket_arrays().max_x) == 0).any()
+        cell_ids = np.zeros(queries, dtype=np.int64)
+        assert (_pairs_per_cell(index, cell_ids)[0] >= _DENSE_MIN_PAIRS) == (queries == 600)
+        _check_corner_counts(index, cell_ids, _corner_queries(index, rng, cell_ids, 0.5))
+
+    def test_empty_input(self):
+        rng = np.random.default_rng(3)
+        index = BBSTJoinIndex(
+            PointSet(xs=rng.uniform(0.0, 500.0, 300), ys=rng.uniform(0.0, 500.0, 300)),
+            half_extent=100.0,
+        )
+        empty = np.empty(0, dtype=np.float64)
+        _check_corner_counts(index, np.empty(0, dtype=np.int64), (empty,) * 4)
 
 
 # ----------------------------------------------------------------------
