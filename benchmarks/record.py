@@ -1,22 +1,24 @@
 """Record one change's benchmark numbers into a committed ``BENCH_<n>.json``.
 
-    python3 benchmarks/record.py --output benchmarks/BENCH_16.json \\
-        --parent ../parent-checkout
-    python3 benchmarks/record.py --output benchmarks/BENCH_16.json --label change
+    python3 benchmarks/record.py --output benchmarks/BENCH_17.json \\
+        --parent ../parent-checkout --seeds 111,112,113,114,115,116,117,118,119,120
+    python3 benchmarks/record.py --output benchmarks/BENCH_17.json --label change
 
 Runs ``pathbench/run.py`` of a checkout on every workload its
-``BENCHMARK.json`` declares: three seeds with ``--trace 0`` (the end-to-end
-metrics) and one ``--trace 1`` run (the per-layer metrics), at the
-benchmark's own run length.  Each run gives one row: its ``record`` line and
-its result line.  The rows are aggregated into the per-workload medians of
-the end-to-end metrics and the traced run's per-layer metrics, and stored as
-one *set* under ``--label`` in the output file, next to the sets already
-there.  With ``--parent`` every run is made on both checkouts, parent and
-change alternating which goes first, and stored as the ``parent`` and the
+``BENCHMARK.json`` declares: one run per ``--seeds`` seed (default
+``1,2,3``) with ``--trace 0`` (the end-to-end metrics) and one ``--trace 1``
+run on the first seed (the per-layer metrics), at the benchmark's own run
+length.  Each run gives one row: its ``record`` line and its result line.
+The rows are aggregated into the per-workload medians of the end-to-end
+metrics and the traced run's per-layer metrics, and stored as one *set*
+under ``--label`` in the output file, next to the sets already there.  With
+``--parent`` every run is made on both checkouts, parent and change
+alternating which goes first, and stored as the ``parent`` and the
 ``--label`` set.  When the file holds a ``parent`` and a ``change`` set, it
 also compares them: both medians against each metric's bound, the parent's
-quartiles, and on how many seeds the change was the better run.
-``--checkout`` defaults to the checkout holding this script.
+quartiles, on how many seeds the change was the better run, and whether
+that makes a gain.  ``--checkout`` defaults to the checkout holding this
+script.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ sys.path.insert(0, str(ROOT))
 
 from pathbench.spread import summarise  # noqa: E402
 
-#: Seeds of the untraced runs, and the seed of the traced run.
-SEEDS = (1, 2, 3)
-TRACE_SEED = 1
+#: A gain needs at least this many pairs, the change better in at least
+#: this share of them (ties count for neither side), and the medians further
+#: apart than the parent's interquartile range.
+GAIN_MIN_PAIRS = 10
+GAIN_MIN_WIN_SHARE = 0.9
 
 
 def parse_run(stdout: str) -> dict:
@@ -97,7 +101,8 @@ def compare(parent: dict, change: dict, benchmark: dict) -> dict:
     whether it stays inside the metric's ``BENCHMARK.json`` bound.  ``wins``
     counts the seeds, of the ``pairs`` both sets ran, on which the change
     was strictly better; ``parent_q1``/``parent_q3`` are the parent's
-    quartiles (:func:`pathbench.spread.summarise`).
+    quartiles (:func:`pathbench.spread.summarise`).  ``gain`` applies the
+    rule of :data:`GAIN_MIN_PAIRS` and :data:`GAIN_MIN_WIN_SHARE`.
     """
     out: dict[str, dict] = {}
     for workload, head in change["workloads"].items():
@@ -115,6 +120,7 @@ def compare(parent: dict, change: dict, benchmark: dict) -> dict:
             theirs = dict(zip(base["seeds"], base["values"][name]))
             ours = dict(zip(head["seeds"], head["values"][name]))
             paired = [seed for seed in ours if seed in theirs]
+            wins = sum(sign * (ours[seed] - theirs[seed]) < 0 for seed in paired)
             rows[name] = {
                 "parent": before,
                 "change": after,
@@ -123,11 +129,20 @@ def compare(parent: dict, change: dict, benchmark: dict) -> dict:
                 "bound": metric["bound"],
                 "within_bound": worse <= metric["bound"],
                 "pairs": len(paired),
-                "wins": sum(sign * (ours[seed] - theirs[seed]) < 0 for seed in paired),
+                "wins": wins,
+                "gain": False,
             }
             if len(base["values"][name]) >= 2:
                 spread = summarise(base["values"][name])
-                rows[name].update(parent_q1=spread["q1"], parent_q3=spread["q3"])
+                rows[name].update(
+                    parent_q1=spread["q1"],
+                    parent_q3=spread["q3"],
+                    gain=(
+                        len(paired) >= GAIN_MIN_PAIRS
+                        and wins >= GAIN_MIN_WIN_SHARE * len(paired)
+                        and sign * (before - after) > spread["q3"] - spread["q1"]
+                    ),
+                )
         out[workload] = rows
     return out
 
@@ -169,7 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--parent", type=Path, help="also record this checkout as `parent`, alternating runs"
     )
+    parser.add_argument(
+        "--seeds", default="1,2,3",
+        help="comma-separated seeds of the untraced runs; the first also seeds the traced run",
+    )
     args = parser.parse_args(argv)
+    seeds = [int(seed) for seed in args.seeds.split(",")]
 
     sides = {args.label: args.checkout.resolve()}
     if args.parent is not None:
@@ -179,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = [
         (workload, seed, trace)
         for workload in (entry["name"] for entry in benchmark["workloads"])
-        for seed, trace in [(seed, 0) for seed in SEEDS] + [(TRACE_SEED, 1)]
+        for seed, trace in [(seed, 0) for seed in seeds] + [(seeds[0], 1)]
     ]
     rows: dict[str, list[dict]] = {label: [] for label in sides}
     for index, (workload, seed, trace) in enumerate(runs):

@@ -305,7 +305,7 @@ SECTIONS: tuple[Section, ...] = (
         opt_in=True,
         help="also measure the multi-tenant manager floors "
         f"(tenants={_MANAGER['tenants']}, rounds={_MANAGER['rounds']}, "
-        "memory budget ~50% of total prepared bytes)",
+        "memory budget ~50%% of total prepared bytes)",
         metrics=tuple(
             Metric(name, _column(name), min, "minimum", _MANAGER_BROKE)
             for name in ("budget_adherence", "eviction_bit_identity", "eviction_exercised")

@@ -401,8 +401,24 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         assert index is not None
         r_xs, r_ys = self.spec.r_points.xs, self.spec.r_points.ys
         if self._vectorized:
-            self._cell_ids = index.grid.neighbor_cell_ids(r_xs, r_ys, kernels=self.kernels)
-            bounds = index.batch_bounds(r_xs, r_ys, self._cell_ids)
+            # Count R in cell order: the queries of one cell share their 3x3
+            # block, so every column's cell ids arrive in runs and the
+            # kernels' per-cell grouping sorts run over sorted input.  Each
+            # row is computed on its own, so scattering the rows back to R
+            # order gives the same matrices.  The scatters wait for the count
+            # and drop each cell-order copy once done, so the R-order copies
+            # never coexist with the count's temporaries (the heap peak).
+            order = index.grid.cell_order(r_xs, r_ys)
+            xs, ys = r_xs[order], r_ys[order]
+            cell_ids = index.grid.neighbor_cell_ids(xs, ys, kernels=self.kernels)
+            ordered_bounds = index.batch_bounds(xs, ys, cell_ids)
+            del xs, ys
+            self._cell_ids = np.empty_like(cell_ids)
+            self._cell_ids[order] = cell_ids
+            del cell_ids
+            bounds = np.empty_like(ordered_bounds)
+            bounds[order] = ordered_bounds
+            del ordered_bounds
         else:
             bounds = np.zeros((self.spec.n, 9), dtype=np.float64)
             for i in range(self.spec.n):

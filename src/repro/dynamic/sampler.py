@@ -521,7 +521,7 @@ class DynamicSampler(JoinSampler):
         if structure_changed:
             # Cells were added or removed: every flat cell index may have
             # shifted, so the whole (n, 9) id matrix is re-resolved (one
-            # vectorised packed-key lookup; the bounds stay put).
+            # lookup per distinct cell of R; the bounds stay put).
             state.cell_ids = grid.neighbor_cell_ids(r_xs, r_ys)
 
         rows = self._affected_rows(affected_keys, rebuilt_all)

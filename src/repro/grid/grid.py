@@ -87,6 +87,29 @@ def pack_cell_keys(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     return _pack_keys(np.asarray(ix, dtype=np.int64), np.asarray(iy, dtype=np.int64))
 
 
+def _is_xy_sorted(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Whether the points are in ``(x, y)``-lexicographic order (one O(m) pass)."""
+    dx = np.diff(xs)
+    return bool(np.all((dx > 0) | ((dx == 0) & (np.diff(ys) >= 0))))
+
+
+def _cell_order(ix: np.ndarray, iy: np.ndarray, stable: bool = False) -> np.ndarray:
+    """Permutation that sorts ``(ix, iy)`` cell keys into ascending grid cell order.
+
+    While both components fit in 32 bits the keys are packed order-preserving
+    (``ix`` in the high word, ``iy + 2**31`` in the low one) and sorted with
+    one ``argsort``, several times faster than the two-key ``lexsort`` that
+    serves wider keys.  ``stable`` keeps the input order within a cell.
+    """
+    if ix.size and (
+        min(int(ix.min()), int(iy.min())) >= -_PACK_LIMIT
+        and max(int(ix.max()), int(iy.max())) <= _PACK_LIMIT
+    ):
+        keys = ix * np.int64(2**32) + (iy + np.int64(2**31))
+        return np.argsort(keys, kind="stable" if stable else None)
+    return np.lexsort((iy, ix))
+
+
 class Grid:
     """Hash grid of non-empty cells over a point set.
 
@@ -97,22 +120,16 @@ class Grid:
     cell_size:
         Side length of each square cell; the samplers pass the window
         half-extent ``l`` so that a window is always covered by a 3x3 block.
-    presorted_by_x:
-        When True the caller guarantees ``points`` is already x-sorted, which
-        lets the grid skip the per-cell x sort (mirrors the paper's
-        pre-sorted-``S`` assumption).  The per-cell y sort (building
-        ``Sy(c)``) is always performed here because it belongs to the online
-        phase.
+
+    Points that arrive sorted by ``(x, y)`` - the paper's pre-sorted ``S``,
+    as :meth:`~repro.geometry.point.PointSet.sorted_by_x` returns it - are
+    grouped by one stable sort on the cell key instead of a full sort; the
+    cells come out the same either way.
     """
 
     __slots__ = ("_cells", "_cell_size", "_size", "_source_name", "_flat")
 
-    def __init__(
-        self,
-        points: PointSet,
-        cell_size: float,
-        presorted_by_x: bool = False,
-    ) -> None:
+    def __init__(self, points: PointSet, cell_size: float) -> None:
         self._cell_size = validate_half_extent(cell_size, name="cell_size")
         self._size = len(points)
         self._source_name = points.name
@@ -122,13 +139,13 @@ class Grid:
             return
 
         xs, ys, ids = points.xs, points.ys, points.ids
-        ix = np.floor(xs / self._cell_size).astype(np.int64)
-        iy = np.floor(ys / self._cell_size).astype(np.int64)
+        ix, iy = self._keys(xs, ys)
 
-        # Group point positions by cell key.  Sorting by (ix, iy, x) gives each
-        # cell's points as one contiguous, x-sorted run.
-        if presorted_by_x:
-            order = np.lexsort((xs, iy, ix))
+        # Group point positions by cell key.  Sorting by (ix, iy, x, y) gives
+        # each cell's points as one contiguous, (x, y)-sorted run; input that
+        # is (x, y)-sorted already keeps that order under a stable key sort.
+        if _is_xy_sorted(xs, ys):
+            order = _cell_order(ix, iy, stable=True)
         else:
             order = np.lexsort((ys, xs, iy, ix))
         ix_sorted = ix[order]
@@ -146,8 +163,6 @@ class Grid:
             cell_xs = xs[run]
             cell_ys = ys[run]
             cell_ids = ids[run]
-            # The run is sorted by x already (last lexsort key within the cell
-            # is x); assert-free because lexsort guarantees it.
             bounds = Rect(
                 xmin=key[0] * self._cell_size,
                 ymin=key[1] * self._cell_size,
@@ -464,6 +479,22 @@ class Grid:
         out[found] = flat.packed_cell_ids[slots[found]]
         return out
 
+    def _keys(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(ix, iy)`` cell key arrays of many locations."""
+        return (
+            np.floor(np.asarray(xs, dtype=np.float64) / self._cell_size).astype(np.int64),
+            np.floor(np.asarray(ys, dtype=np.float64) / self._cell_size).astype(np.int64),
+        )
+
+    def cell_order(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Permutation grouping the locations by cell, in grid cell order.
+
+        Along it, every column of :meth:`neighbor_cell_ids` is non-decreasing
+        apart from its ``-1`` (empty cell) entries.  The order within a cell
+        is unspecified.
+        """
+        return _cell_order(*self._keys(xs, ys))
+
     def neighbor_cell_ids(
         self, xs: np.ndarray, ys: np.ndarray, kernels=None
     ) -> np.ndarray:
@@ -471,16 +502,24 @@ class Grid:
 
         Columns follow :data:`~repro.grid.neighbors.NEIGHBOR_OFFSETS`; empty
         cells are ``-1``.  This is the batch counterpart of
-        :meth:`neighborhood`.
+        :meth:`neighborhood`.  All queries of one cell share its block, so
+        each distinct cell's nine neighbours are looked up once and the rows
+        are broadcast back in query order.
         """
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        base_ix = np.floor(xs / self._cell_size).astype(np.int64)
-        base_iy = np.floor(ys / self._cell_size).astype(np.int64)
+        base_ix, base_iy = self._keys(xs, ys)
+        order = _cell_order(base_ix, base_iy)
+        ix_sorted, iy_sorted = base_ix[order], base_iy[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (ix_sorted[1:] != ix_sorted[:-1]) | (iy_sorted[1:] != iy_sorted[:-1])
         offsets = np.array([kind.offset for kind in NEIGHBOR_OFFSETS], dtype=np.int64)
-        ix = base_ix[:, None] + offsets[None, :, 0]
-        iy = base_iy[:, None] + offsets[None, :, 1]
-        return self.lookup_cell_ids(ix, iy, kernels=kernels)
+        blocks = self.lookup_cell_ids(
+            ix_sorted[first][:, None] + offsets[None, :, 0],
+            iy_sorted[first][:, None] + offsets[None, :, 1],
+            kernels=kernels,
+        )
+        block_of = np.empty(order.size, dtype=np.int64)
+        block_of[order] = np.cumsum(first) - 1
+        return blocks[block_of]
 
     def neighborhood_counts(
         self, xs: np.ndarray, ys: np.ndarray, kernels=None

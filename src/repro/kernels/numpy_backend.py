@@ -6,11 +6,13 @@ backend has a pinned reference to be differentially tested against.  Do not
 "optimise" these bodies - any change in floating-point evaluation order or
 rounding is a silent break of the bit-identity contract with both the scalar
 (``vectorized=False``) paths and the numba backend.  The one exception is
-:func:`corner_qualifying`: it returns integer counts of the same comparisons,
-so it may choose which pairs to compare and in what order.
+:func:`corner_qualifying`: it returns exact integer counts of the Lemma 5
+predicate, so it may compute them in any exact way (a scan or rank tables).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,17 +42,20 @@ assert tuple(NEIGHBOR_OFFSETS[:5]) == (
 _CENTER, _LEFT, _RIGHT, _DOWN, _UP = range(5)
 
 #: Queries x buckets of one corner cell from which :func:`corner_qualifying`
-#: counts the cell as one dense block instead of in the ragged scan.  Both
-#: sides are needed (four corner counts of one prepare, 2-core VM): on the
-#: NYC proxy (n = m = 10^6, l = 100) about 480 cells per corner kind reach it
-#: and hold 98.5% of the (query, bucket) pairs, and the counts took 1.6 s
-#: instead of the ragged scan's 8.4 s; light cells cost the dense path one
-#: Python iteration each, so with every cell dense (threshold 1) uniform
-#: input (n = m = 10^6, 10,000 cells, none heavy) took 1.63 s instead of
-#: 0.68 s, which made pathbench's ``session-uniform`` ``setup_s`` 1.34x
-#: worse, and the Foursquare proxy (n = m = 10^5, 8,826 cells) 0.51 s
-#: instead of 0.062 s.
+#: answers the cell's queries from rank tables instead of the ragged scan;
+#: the pairs must also reach the entries the cell's tables cost to build.
+#: Four corner counts of one prepare (2-core VM, l = 100, best of 3), at
+#: 2,000 / all scanned / every cell tabled: NYC proxy (n = m = 10^6)
+#: 0.71 / 7.8 / 2.1 s, uniform (10^6) 0.79 / 0.94 / 2.2 s, Foursquare proxy
+#: (10^5) 0.056 / 0.19 / 1.07 s; a table costs one Python iteration, which
+#: the light cells do not repay.  500 and 8,000 read within 15% of 2,000 on
+#: all three.  Without the entries rule, 40 dense S cells of 50,000 points
+#: with about 20 R points each beside them took 4.8 s instead of 0.25 s.
 _DENSE_MIN_PAIRS = 2_000
+
+#: Most buckets one rank table covers, so that its ``(B + 1) x (B + 1)``
+#: entries stay within ``MAX_BLOCK_ITEMS``; longer cells are split into runs.
+_TABLE_RUN = math.isqrt(MAX_BLOCK_ITEMS) - 1
 
 
 def column_select(rows: np.ndarray, u_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,13 +220,11 @@ def corner_qualifying(
     its x-sorted points, so ``min_x`` and ``max_x`` are non-decreasing along
     them and the x test keeps a suffix (``max_x >= wxmin``) or a prefix
     (``min_x <= wxmax``) of the cell's buckets, found by one binary search.
-    Cells with many queries and buckets are counted as dense blocks over
-    that run; the rest go through one ragged scan of every bucket.
+    Cells with many queries and buckets answer each query from a rank table
+    (:func:`_rank_table_counts`); the rest go through one ragged scan of
+    every bucket.
     """
-    heavy = (
-        np.bincount(cell_ids, minlength=bucket_counts.size) * bucket_counts
-        >= _DENSE_MIN_PAIRS
-    )
+    heavy = _tabled_cells(cell_ids, bucket_counts)
     scan_args = (
         bucket_starts,
         bucket_counts,
@@ -243,39 +246,70 @@ def corner_qualifying(
         )
     dense = np.flatnonzero(in_heavy)
     dense = dense[np.argsort(cell_ids[dense], kind="stable")]
-    y_bound = bucket_max_y if use_max_y else bucket_min_y
-    y_window = wymin if use_max_y else wymax
+    x_bound, x_window = (bucket_max_x, wxmin) if use_max_x else (bucket_min_x, wxmax)
+    y_bound, y_window = (bucket_max_y, wymin) if use_max_y else (bucket_min_y, wymax)
     for queries in np.split(dense, np.flatnonzero(np.diff(cell_ids[dense])) + 1):
         cid = cell_ids[queries[0]]
         first = int(bucket_starts[cid])
-        count = int(bucket_counts[cid])
-        if use_max_x:
-            edge = np.searchsorted(
-                bucket_max_x[first : first + count], wxmin[queries], side="left"
+        stop = first + int(bucket_counts[cid])
+        for lo in range(first, stop, _TABLE_RUN):
+            hi = min(lo + _TABLE_RUN, stop)
+            out[queries] += _rank_table_counts(
+                x_bound[lo:hi],
+                y_bound[lo:hi],
+                x_window[queries],
+                y_window[queries],
+                use_max_x,
+                use_max_y,
             )
-            lo, hi = int(edge.min()), count
-        else:
-            edge = np.searchsorted(
-                bucket_min_x[first : first + count], wxmax[queries], side="right"
-            )
-            lo, hi = 0, int(edge.max())
-        if lo >= hi:
-            continue
-        columns = np.arange(lo, hi)
-        run_y = y_bound[first + lo : first + hi]
-        step = max(1, MAX_BLOCK_ITEMS // (hi - lo))
-        for start in range(0, queries.size, step):
-            part = slice(start, start + step)
-            if use_max_y:
-                ok = run_y >= y_window[queries[part], None]
-            else:
-                ok = run_y <= y_window[queries[part], None]
-            if use_max_x:
-                ok &= columns >= edge[part, None]
-            else:
-                ok &= columns < edge[part, None]
-            out[queries[part]] = np.count_nonzero(ok, axis=1)
     return out
+
+
+def _tabled_cells(cell_ids: np.ndarray, bucket_counts: np.ndarray) -> np.ndarray:
+    """Per cell: whether :func:`corner_qualifying` answers its queries from rank tables.
+
+    A cell is tabled when its queries x buckets reach both
+    ``_DENSE_MIN_PAIRS`` and the entries its tables cost to build.
+    """
+    pairs = np.bincount(cell_ids, minlength=bucket_counts.size) * bucket_counts
+    entries = bucket_counts * np.minimum(bucket_counts, _TABLE_RUN)
+    return pairs >= np.maximum(_DENSE_MIN_PAIRS, entries)
+
+
+def _rank_table_counts(
+    x_bound: np.ndarray,
+    y_bound: np.ndarray,
+    x_window: np.ndarray,
+    y_window: np.ndarray,
+    use_max_x: bool,
+    use_max_y: bool,
+) -> np.ndarray:
+    """Qualifying counts over one run of a cell's buckets, through a rank table.
+
+    With ``rho(b)`` the number of the run's buckets whose y bound is below
+    bucket ``b``'s, and ``k`` the ``searchsorted`` of a query's y window edge
+    in the sorted y bounds (side ``"left"`` for the max-y test, ``"right"``
+    for the min-y one), ``y_b >= w`` holds exactly when ``rho(b) >= k`` and
+    ``y_b <= w`` exactly when ``rho(b) < k``, ties included.  Entry
+    ``[e, k]`` of the ``(B + 1) x (B + 1)`` table counts the buckets on the
+    x-passing side of index ``e`` (at or after it for the max-x test, before
+    it for the min-x one) whose rank passes ``k``, so each query costs two
+    binary searches and one gather after O(B^2) work for the run.
+    """
+    size = x_bound.size
+    edge = np.searchsorted(x_bound, x_window, side="left" if use_max_x else "right")
+    y_sorted = np.sort(y_bound)
+    rank = np.searchsorted(y_sorted, y_bound, side="left")
+    k = np.searchsorted(y_sorted, y_window, side="left" if use_max_y else "right")
+    # A suffix sum over an axis places bucket b at row (column) b and sums
+    # from the end; a prefix sum places it one further and sums from 0.
+    table = np.zeros((size + 1, size + 1), dtype=np.int32)
+    table[np.arange(size) + (0 if use_max_x else 1), rank + (0 if use_max_y else 1)] = 1
+    rows = table[::-1] if use_max_x else table
+    np.cumsum(rows, axis=0, dtype=np.int32, out=rows)
+    columns = table[:, ::-1] if use_max_y else table
+    np.cumsum(columns, axis=1, dtype=np.int32, out=columns)
+    return table[edge, k]
 
 
 def _corner_scan(

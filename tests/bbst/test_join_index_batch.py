@@ -12,7 +12,7 @@ from repro.core.config import JoinSpec
 from repro.dynamic import DynamicSampler
 from repro.geometry.point import PointSet
 from repro.grid.neighbors import NEIGHBOR_OFFSETS
-from repro.kernels.numpy_backend import _DENSE_MIN_PAIRS
+from repro.kernels.numpy_backend import _tabled_cells
 
 _COLUMN = {kind: column for column, kind in enumerate(NEIGHBOR_OFFSETS)}
 
@@ -42,8 +42,8 @@ class TestBatchBounds:
             )
 
     def test_matches_scalar_contributions_on_a_hotspot(self, rng):
-        # 2,500 queries around one dense cell make it a corner cell counted
-        # as a dense block (past the kernel's light/dense threshold).
+        # 2,500 queries around one dense cell make it a corner cell answered
+        # from rank tables (past the kernel's light/tabled threshold).
         xs = np.concatenate((rng.uniform(300.0, 400.0, 3_000), rng.uniform(0.0, 1_000.0, 500)))
         ys = np.concatenate((rng.uniform(300.0, 400.0, 3_000), rng.uniform(0.0, 1_000.0, 500)))
         index = BBSTJoinIndex(PointSet(xs=xs, ys=ys), half_extent=100.0)
@@ -51,8 +51,8 @@ class TestBatchBounds:
         qy = rng.uniform(200.0, 500.0, 2_500)
         hotspot = index.grid.flat().cells.index(index.grid.get((3, 3)))
         corner_ids = index.grid.neighbor_cell_ids(qx, qy)[:, 5:]
-        queries = int(np.count_nonzero(corner_ids == hotspot))
-        assert queries * index.bucket_arrays().counts[hotspot] >= _DENSE_MIN_PAIRS
+        counts = index.bucket_arrays().counts
+        assert all(_tabled_cells(ids[ids >= 0], counts)[hotspot] for ids in corner_ids.T)
         bounds = index.batch_bounds(qx, qy)
         for i in range(qx.size):
             np.testing.assert_array_equal(

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.bench.ci_gate import DEFAULT_FACTOR, as_baseline, compare_to_baseline, main
+from repro.bench.ci_gate import (
+    DEFAULT_FACTOR,
+    SECTIONS,
+    as_baseline,
+    compare_to_baseline,
+    main,
+)
 
 
 def _payload(values, session=None, parallel=None, dynamic=None, service=None):
@@ -281,6 +287,15 @@ class TestMainEndToEnd:
             )
             == 0
         )
+
+    def test_help_lists_every_opt_in_section(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        shown = capsys.readouterr().out
+        for section in SECTIONS:
+            if section.opt_in:
+                assert f"--{section.name}" in shown
 
     def test_missing_baseline_is_an_error(self, tmp_path):
         code = main(

@@ -123,3 +123,58 @@ def test_main_alternates_which_checkout_runs_first(record, tmp_path, monkeypatch
     document = json.loads(output.read_text())
     assert document["sets"]["change"]["alternated_with"] == "parent"
     assert document["change_vs_parent"]["oneshot-skewed"]["draw_p50_ms"]["pairs"] == 3
+
+
+def _series(record, seeds, draws):
+    """Untraced rows of one workload with the given per-seed ``draw_p50_ms``."""
+    return [
+        record.parse_run(
+            _stdout("oneshot-skewed", seed, 0, {"draw_p50_ms": d, "pairs_per_s": 1.0})
+        )
+        for seed, d in zip(seeds, draws)
+    ]
+
+
+def _gain(record, parent_draws, change_draws, seeds=None):
+    seeds = seeds or range(1, len(parent_draws) + 1)
+    parent = {"workloads": record.aggregate(_series(record, seeds, parent_draws), BENCHMARK)}
+    change = {"workloads": record.aggregate(_series(record, seeds, change_draws), BENCHMARK)}
+    return record.compare(parent, change, BENCHMARK)["oneshot-skewed"]["draw_p50_ms"]
+
+
+def test_gain_needs_ten_pairs_nine_wins_and_medians_apart_by_the_parents_iqr(record):
+    parent = [100.0, 104.0, 96.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0]
+    faster = [60.0, 62.0, 58.0, 61.0, 59.0, 60.0, 61.0, 59.0, 62.0, 58.0]
+    row = _gain(record, parent, faster)
+    assert (row["pairs"], row["wins"], row["gain"]) == (10, 10, True)
+    # Nine pairs are too few, however clear the difference.
+    assert not _gain(record, parent[:9], faster[:9])["gain"]
+    # Eight wins of ten fall short of nine tenths; a tie wins for neither side.
+    row = _gain(record, parent, faster[:8] + [120.0, 110.0])
+    assert (row["wins"], row["gain"]) == (8, False)
+    row = _gain(record, parent, faster[:9] + [parent[9]])
+    assert (row["wins"], row["gain"]) == (9, True)
+    # Ten wins, but the medians differ by less than the parent's quartile gap.
+    barely = [value - 0.5 for value in parent]
+    row = _gain(record, parent, barely)
+    assert row["wins"] == 10 and row["parent_q3"] - row["parent_q1"] > 0.5
+    assert not row["gain"]
+
+
+def test_main_runs_the_given_seeds_and_traces_the_first(record, tmp_path, monkeypatch):
+    benchmark = dict(BENCHMARK, workloads=[{"name": "oneshot-skewed"}], run_seconds=1)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((seed, trace))
+        metrics = {"core.count_s": 1.0} if trace else {"draw_p50_ms": 1.0, "pairs_per_s": 1.0}
+        return record.parse_run(_stdout(workload, seed, trace, metrics))
+
+    monkeypatch.setattr(record, "one_run", fake_run)
+    output = tmp_path / "BENCH.json"
+    argv = ["--output", str(output), "--checkout", str(tmp_path), "--seeds", "7,8"]
+    assert record.main(argv) == 0
+    assert calls == [(7, 0), (8, 0), (7, 1)]
+    summary = json.loads(output.read_text())["sets"]["change"]["workloads"]["oneshot-skewed"]
+    assert summary["seeds"] == [7, 8]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bbst_sampler import BBSTSampler
+from repro.core.cell_kdtree_sampler import CellKDTreeSampler
 from repro.core.config import JoinSpec
 from repro.core.grid_sampler_base import _KIND_COLUMN
 from repro.geometry.point import PointSet
@@ -19,6 +20,24 @@ class TestKindColumnMapping:
 
     def test_center_is_column_zero(self):
         assert _KIND_COLUMN[NeighborKind.CENTER] == 0
+
+
+class TestCountOrder:
+    @pytest.mark.parametrize("sampler_class", [BBSTSampler, CellKDTreeSampler])
+    def test_permuting_r_permutes_the_bound_rows(self, sampler_class, medium_spec):
+        """The count phase visits R in cell order but keeps its rows in R order."""
+        perm = np.random.default_rng(5).permutation(medium_spec.n)
+        permuted = JoinSpec(
+            r_points=medium_spec.r_points.take(perm),
+            s_points=medium_spec.s_points,
+            half_extent=medium_spec.half_extent,
+        )
+        plain, shuffled = sampler_class(medium_spec), sampler_class(permuted)
+        plain.sample(0, seed=0)
+        shuffled.sample(0, seed=0)
+        np.testing.assert_array_equal(shuffled.runtime.bounds, plain.runtime.bounds[perm])
+        np.testing.assert_array_equal(shuffled.cell_ids, plain.cell_ids[perm])
+        assert shuffled.runtime.sum_mu == plain.runtime.sum_mu
 
 
 class TestSkeletonBehaviour:

@@ -6,7 +6,7 @@ import pytest
 from repro.geometry.point import PointSet
 from repro.geometry.predicates import count_in_rect
 from repro.geometry.rect import window_around
-from repro.grid.grid import Grid
+from repro.grid.grid import Grid, _is_xy_sorted
 from repro.grid.neighbors import NeighborKind
 
 
@@ -47,13 +47,23 @@ class TestConstruction:
         for cell in grid:
             assert np.all(np.diff(cell.ys_by_y) >= 0)
 
-    def test_presorted_flag_gives_same_grouping(self, grid_friendly_points):
-        sorted_points = grid_friendly_points.sorted_by_x()
-        a = Grid(sorted_points, cell_size=400.0)
-        b = Grid(sorted_points, cell_size=400.0, presorted_by_x=True)
-        assert set(a.cells.keys()) == set(b.cells.keys())
-        for key in a.cells:
-            assert len(a.get(key)) == len(b.get(key))
+    def test_presorted_input_gives_the_same_flat_view(self, rng):
+        """(x, y)-sorted input skips the full sort and still gives identical cells."""
+        xs = np.round(rng.random(1_500) * 2_000 - 1_000, 0)  # many equal x
+        ys = rng.random(1_500) * 2_000 - 1_000
+        xs[1_000:] = xs[:500]  # exact duplicates under other ids
+        ys[1_000:] = ys[:500]
+        shuffled = PointSet(xs=xs, ys=ys).take(rng.permutation(1_500))
+        presorted = shuffled.sorted_by_x()
+        assert _is_xy_sorted(presorted.xs, presorted.ys)
+        assert not _is_xy_sorted(shuffled.xs, shuffled.ys)
+        a = Grid(presorted, cell_size=150.0).flat()
+        b = Grid(shuffled, cell_size=150.0).flat()
+        assert [cell.key for cell in a.cells] == [cell.key for cell in b.cells]
+        assert min(cell.key[1] for cell in a.cells) < 0
+        for name in ("starts", "lengths", "xs_by_x", "ys_by_x", "ids_by_x",
+                     "xs_by_y", "ys_by_y", "ids_by_y", "packed_keys", "packed_cell_ids"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 class TestLookup:

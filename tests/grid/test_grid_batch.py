@@ -32,18 +32,29 @@ class TestFlatView:
 
 class TestBatchLookups:
     def test_neighbor_cell_ids_match_scalar_neighborhood(self, grid, rng):
-        qx = rng.random(200) * 1000 - 500
-        qy = rng.random(200) * 1000 - 500
-        cell_ids = grid.neighbor_cell_ids(qx, qy)
+        scattered = (rng.random(200) * 1000 - 500, rng.random(200) * 1000 - 500)
+        # Hundreds of queries in each of a few cells, some of them empty in S
+        # (the grid spans keys -8..7), shuffled so no cell's queries are adjacent.
+        keys = np.array([(-8, -8), (-1, 3), (0, 0), (7, -2), (-11, 5), (9, 9)])
+        per_cell = rng.integers(100, 400, len(keys))
+        which = np.repeat(np.arange(len(keys)), per_cell)
+        rng.shuffle(which)
+        clustered = tuple(
+            (keys[which, axis] + rng.random(which.size)) * grid.cell_size for axis in (0, 1)
+        )
+        assert any(grid.get(tuple(key)) is None for key in keys.tolist())
         flat = grid.flat()
-        for i in range(200):
-            scalar = dict(grid.neighborhood(float(qx[i]), float(qy[i])))
-            for column, kind in enumerate(NEIGHBOR_OFFSETS):
-                cell = scalar.get(kind)
-                if cell is None:
-                    assert cell_ids[i, column] == -1
-                else:
-                    assert flat.cells[cell_ids[i, column]] is cell
+        for qx, qy in (scattered, clustered):
+            cell_ids = grid.neighbor_cell_ids(qx, qy)
+            assert cell_ids.shape == (qx.size, 9)
+            for i in range(qx.size):
+                scalar = dict(grid.neighborhood(float(qx[i]), float(qy[i])))
+                for column, kind in enumerate(NEIGHBOR_OFFSETS):
+                    cell = scalar.get(kind)
+                    if cell is None:
+                        assert cell_ids[i, column] == -1
+                    else:
+                        assert flat.cells[cell_ids[i, column]] is cell
 
     def test_neighborhood_counts_match_scalar_mu(self, grid, rng):
         qx = rng.random(300) * 1000 - 500
@@ -64,10 +75,11 @@ class TestBatchLookups:
         points = PointSet(xs=rng.random(50) * 1e12, ys=rng.random(50) * 1e12)
         grid = Grid(points, cell_size=1e-2)  # cell indices far outside int32
         assert not grid.flat().supports_packing
-        qx, qy = points.xs[:20], points.ys[:20]
+        repeats = rng.integers(0, 20, 60)  # each of 20 points queried about three times
+        qx, qy = points.xs[repeats], points.ys[repeats]
         cell_ids = grid.neighbor_cell_ids(qx, qy)
         flat = grid.flat()
-        for i in range(20):
+        for i in range(60):
             base = grid.cell_of(float(qx[i]), float(qy[i]))
             assert base is not None
             assert flat.cells[cell_ids[i, 0]] is base

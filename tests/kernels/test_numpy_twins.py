@@ -25,7 +25,8 @@ from repro.core.kds_sampler import KDSSampler
 from repro.geometry.point import PointSet
 from repro.grid.grid import Grid
 from repro.kernels import get_kernels
-from repro.kernels.numpy_backend import _DENSE_MIN_PAIRS
+from repro.kernels import numpy_backend
+from repro.kernels.numpy_backend import _tabled_cells
 
 KERNELS = get_kernels("numpy")
 
@@ -247,9 +248,9 @@ def _check_corner_counts(index, cell_ids, windows):
         np.testing.assert_array_equal(got, expected)
 
 
-def _pairs_per_cell(index, cell_ids):
-    counts = index.bucket_arrays().counts
-    return np.bincount(cell_ids, minlength=counts.size) * counts
+def _tabled(index, cell_ids):
+    return _tabled_cells(cell_ids, index.bucket_arrays().counts)
+
 
 
 class TestCornerQualifying:
@@ -266,9 +267,9 @@ class TestCornerQualifying:
             )
         )
         rng.shuffle(cell_ids)
-        pairs = _pairs_per_cell(index, cell_ids)
-        assert pairs.max() >= _DENSE_MIN_PAIRS
-        assert ((pairs > 0) & (pairs < _DENSE_MIN_PAIRS)).any()
+        tabled = _tabled(index, cell_ids)
+        assert tabled.any()
+        assert (~tabled[cell_ids]).any()
         _check_corner_counts(index, cell_ids, _corner_queries(index, rng, cell_ids, 0.2))
 
     def test_dense_cell_past_the_block_cap(self):
@@ -277,7 +278,9 @@ class TestCornerQualifying:
         index = BBSTJoinIndex(points, half_extent=100.0)
         assert index.grid.num_cells == 1
         cell_ids = np.zeros(2_000, dtype=np.int64)
-        assert _pairs_per_cell(index, cell_ids)[0] > MAX_BLOCK_ITEMS
+        # 3,125 buckets: more than one table of at most MAX_BLOCK_ITEMS entries.
+        assert (index.bucket_arrays().counts[0] + 1) ** 2 > MAX_BLOCK_ITEMS
+        assert _tabled(index, cell_ids)[0]
         _check_corner_counts(index, cell_ids, _corner_queries(index, rng, cell_ids, 0.1))
 
     @pytest.mark.parametrize("queries", [8, 600], ids=["light", "dense"])
@@ -290,8 +293,42 @@ class TestCornerQualifying:
         index = BBSTJoinIndex(PointSet(xs=xs, ys=ys), half_extent=100.0)
         assert (np.diff(index.bucket_arrays().max_x) == 0).any()
         cell_ids = np.zeros(queries, dtype=np.int64)
-        assert (_pairs_per_cell(index, cell_ids)[0] >= _DENSE_MIN_PAIRS) == (queries == 600)
+        assert _tabled(index, cell_ids)[0] == (queries == 600)
         _check_corner_counts(index, cell_ids, _corner_queries(index, rng, cell_ids, 0.5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_y_envelopes_in_tabled_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        # Four hotspot cells whose points take six y values, so most buckets
+        # share their min_y and max_y with other buckets of the cell.
+        centres = rng.integers(1, 9, (4, 2)) * 100.0
+        xs = np.concatenate([rng.uniform(c[0], c[0] + 100.0, 900) for c in centres])
+        ys = np.concatenate([c[1] + rng.integers(0, 6, 900) * 19.0 for c in centres])
+        index = BBSTJoinIndex(PointSet(xs=xs, ys=ys), half_extent=100.0)
+        arrays = index.bucket_arrays()
+        cell_ids = rng.integers(0, index.grid.num_cells, 2_000)
+        assert _tabled(index, cell_ids).all()
+        for cid in range(index.grid.num_cells):
+            run = slice(arrays.starts[cid], arrays.starts[cid] + arrays.counts[cid])
+            assert np.unique(arrays.min_y[run]).size < arrays.counts[cid] // 4
+            assert np.unique(arrays.max_y[run]).size < arrays.counts[cid] // 4
+        wxmin, wymin, wxmax, wymax = _corner_queries(index, rng, cell_ids, 0.2)
+        # Snap most y edges onto some bucket's y envelope in the same cell.
+        for i in np.flatnonzero(rng.random(cell_ids.size) < 0.7):
+            cid = cell_ids[i]
+            pick = arrays.starts[cid] + rng.integers(arrays.counts[cid], size=2)
+            wymin[i] = rng.choice([arrays.min_y[pick[0]], arrays.max_y[pick[0]]])
+            wymax[i] = rng.choice([arrays.min_y[pick[1]], arrays.max_y[pick[1]]])
+        _check_corner_counts(index, cell_ids, (wxmin, wymin, wxmax, wymax))
+
+    def test_tabled_cases_split_into_short_bucket_runs(self, monkeypatch):
+        """Every tabled case again, with each cell's tables covering 7 buckets."""
+        monkeypatch.setattr(numpy_backend, "_TABLE_RUN", 7)
+        self.test_light_and_dense_groups()
+        self.test_dense_cell_past_the_block_cap()
+        self.test_duplicate_x_across_bucket_boundaries(600)
+        for seed in range(4):
+            self.test_tie_heavy_y_envelopes_in_tabled_cells(seed)
 
     def test_empty_input(self):
         rng = np.random.default_rng(3)
