@@ -57,8 +57,9 @@ MIN_BATCH = 64
 MAX_BATCH = 1 << 18
 
 #: Largest expansion one block of :func:`group_blocks` holds (bounds the
-#: temporary memory of the vectorised scans).
-MAX_BLOCK_ITEMS = 4_000_000
+#: temporary memory of the vectorised scans and picks, which hold several
+#: 8-byte temporaries per expanded item).
+MAX_BLOCK_ITEMS = 1 << 20
 
 #: Refill overdraw factor: rounds request slightly more attempts than the
 #: acceptance-rate estimate suggests so most requests finish in one round.

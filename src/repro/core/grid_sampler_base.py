@@ -11,10 +11,10 @@ Phases
 1. *Online data structure building* - build the index over ``S`` (grid plus
    per-cell structures).  Reported as the GM column.
 2. *Approximate range counting* - for every ``r`` obtain the per-cell bounds
-   ``mu(r, c)`` over the 3x3 block, store them as a dense ``(n, 9)`` matrix
-   (this plays the role of the per-point alias ``A_r``: with at most nine
-   weights a cumulative-sum draw is O(1)), and build the global alias ``A``
-   over ``mu(r)``.  Reported as the UB column.
+   ``mu(r, c)`` over the 3x3 block, store them as a dense int32 ``(n, 9)``
+   matrix (this plays the role of the per-point alias ``A_r``: with at most
+   nine weights a cumulative-sum draw is O(1)), and build the global alias
+   ``A`` over ``mu(r)``.  Reported as the UB column.
 3. *Sampling* - repeat: draw ``r`` from ``A``, draw a cell from ``A_r``, draw
    a candidate point inside that cell, and accept the pair iff the point lies
    in ``w(r)``.  Cases 1/2 always accept; case 3 may reject (point outside the
@@ -26,7 +26,7 @@ hooks of the life-cycle :class:`~repro.core.base.JoinSampler` runs and times.
 Batch engine
 ------------
 The online phases run *vectorised* by default.  The counting phase asks the
-index for the whole ``(n, 9)`` bound matrix at once
+index for the ``(n, 9)`` bound matrix in cell-aligned chunks of ``R``
 (:meth:`repro.bbst.join_index.BBSTJoinIndex.batch_bounds`), and the sampling
 phase runs the shared round loop :func:`repro.core.batching.rejection_rounds`:
 each round draws its ``r`` indices from the alias, then cell-pick,
@@ -62,7 +62,7 @@ from repro.artifacts.spec import (
 )
 from repro.bbst.join_index import CellContribution
 from repro.core.base import PersistentJoinSampler
-from repro.core.batching import pick_int_scalar, rejection_rounds
+from repro.core.batching import group_blocks, pick_int_scalar, rejection_rounds
 from repro.core.config import JoinSpec
 from repro.errors import ArtifactCorruptError, ArtifactError
 from repro.geometry.point import PointSet
@@ -71,7 +71,35 @@ from repro.grid.cell import GridCell
 from repro.grid.grid import Grid
 from repro.grid.neighbors import NEIGHBOR_OFFSETS, NeighborKind
 
-__all__ = ["JoinCellIndex", "PreparedGridState", "GridJoinSamplerBase"]
+__all__ = ["JoinCellIndex", "PreparedGridState", "GridJoinSamplerBase", "row_totals"]
+
+#: Rows of ``R`` the vectorised count phase resolves per chunk (whole cells
+#: only; a cell with more rows is a chunk of its own).  Bounds the count's
+#: temporaries to a few ``(chunk, 9)`` blocks instead of ``(n, 9)`` copies.
+_COUNT_CHUNK_ROWS = 1 << 18
+
+
+def row_totals(bounds: np.ndarray) -> np.ndarray:
+    """``mu(r)`` per row of an integer bound matrix, as float64.
+
+    Every entry is an integer count, so this equals the row's last float64
+    prefix sum exactly: the alias over it and ``sum_mu`` do not depend on
+    how the rows are stored.
+    """
+    return bounds.sum(axis=1, dtype=np.int64).astype(np.float64)
+
+
+def _prefix_rows(bounds: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Float64 prefix sums of the drawn bound rows ``bounds[r]`` (the alias ``A_r``).
+
+    ``np.take`` gathers whole rows several times faster than ``bounds[r]``,
+    and a nine-column running sum beats ``np.cumsum(axis=1)`` on short rows;
+    it equals it because every partial sum is an exact integer.
+    """
+    out = np.take(bounds, r, axis=0).astype(np.float64)
+    for column in range(1, out.shape[1]):
+        out[:, column] += out[:, column - 1]
+    return out
 
 
 @register_prepared_state
@@ -79,9 +107,11 @@ __all__ = ["JoinCellIndex", "PreparedGridState", "GridJoinSamplerBase"]
 class PreparedGridState:
     """Cached online structures of a grid-decomposition sampler.
 
-    This is the whole count-phase output: the dense ``(n, 9)`` per-cell bound
-    matrix, its row-wise prefix sums (the O(1) per-point alias ``A_r``), the
-    global alias ``A`` over ``mu(r)`` and the scalar ``sum_mu``.  Kept as a
+    This is the whole count-phase output: the dense int32 ``(n, 9)`` per-cell
+    bound matrix (the draw forms the prefix sums of the rows it draws, the
+    O(1) per-point alias ``A_r``), the global alias ``A`` over ``mu(r)`` and
+    the scalar ``sum_mu``.  Every bound is an integer count of at most about
+    ``m``, so int32 holds it exactly.  Kept as a
     plain dataclass of arrays - no closures, no references back to the
     sampler - so a prepared sampler pickles cleanly across process
     boundaries (the shard workers of :mod:`repro.parallel` rely on this) and
@@ -90,10 +120,10 @@ class PreparedGridState:
     """
 
     artifact_kind: ClassVar[str] = "grid-runtime"
-    artifact_schema: ClassVar[int] = 1
+    #: 2: int32 bounds, no prefix-sum matrix (schema 1 stored both as float64).
+    artifact_schema: ClassVar[int] = 2
 
     bounds: np.ndarray
-    cumulative: np.ndarray
     alias: AliasTable | None
     sum_mu: float
 
@@ -109,7 +139,7 @@ class PreparedGridState:
         """Decompose into JSON-safe meta plus named arrays (artifact protocol)."""
         alias_meta, alias_arrays = pack_alias(self.alias)
         meta = {"sum_mu": float(self.sum_mu), **alias_meta}
-        arrays = {"bounds": self.bounds, "cumulative": self.cumulative}
+        arrays = {"bounds": self.bounds}
         arrays.update(alias_arrays)
         return meta, arrays
 
@@ -118,16 +148,13 @@ class PreparedGridState:
         cls, meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
     ) -> "PreparedGridState":
         """Reassemble from (possibly read-only memmapped) arrays, zero-copy."""
-        bounds = required_array(arrays, "bounds", dtype="<f8", ndim=2)
-        cumulative = required_array(arrays, "cumulative", dtype="<f8", ndim=2)
-        if bounds.shape != cumulative.shape or bounds.shape[1] != 9:
+        bounds = required_array(arrays, "bounds", dtype="<i4", ndim=2)
+        if bounds.shape[1] != 9:
             raise ArtifactCorruptError(
-                "grid-runtime state needs matching (n, 9) bound and prefix-sum "
-                f"matrices, got {bounds.shape} and {cumulative.shape}"
+                f"grid-runtime state needs an (n, 9) bound matrix, got {bounds.shape}"
             )
         return cls(
             bounds=bounds,
-            cumulative=cumulative,
             alias=unpack_alias(meta, arrays),
             sum_mu=float(meta.get("sum_mu", 0.0)),
         )
@@ -210,6 +237,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
     has_build_phase = True
     state_class = PreparedGridState
     state_prefix = "state"
+    artifact_schema = PreparedGridState.artifact_schema
 
     def __init__(
         self,
@@ -222,7 +250,8 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         self._sorted_s = None
         self._index: JoinCellIndex | None = None
         self._cell_ids: np.ndarray | None = None
-        self._s_position_sorter: np.ndarray | None = None
+        #: ``argsort`` of S's ids and the ids in that order (the id -> position map).
+        self._s_id_lookup: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -241,7 +270,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
 
     @property
     def cell_ids(self) -> np.ndarray | None:
-        """The ``(n, 9)`` flat-cell-index matrix (``None`` before the first build).
+        """The int32 ``(n, 9)`` flat-cell-index matrix (``None`` before the first build).
 
         The vectorised count phase computes it; after the scalar one it is
         computed (and cached) on first use.
@@ -249,7 +278,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         if self._cell_ids is None and self._index is not None:
             self._cell_ids = self._index.grid.neighbor_cell_ids(
                 self.spec.r_points.xs, self.spec.r_points.ys, kernels=self.kernels
-            )
+            ).astype(np.int32)
         return self._cell_ids
 
     def adopt_runtime(
@@ -264,7 +293,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         """
         self._prepared = state
         self._cell_ids = cell_ids
-        self._s_position_sorter = None
+        self._s_id_lookup = None
 
     # ------------------------------------------------------------------
     # Prepared-state artifacts (persistence + warm start)
@@ -316,7 +345,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
     ) -> None:
         """Reassemble the grid and index around the memmapped arrays, zero-copy."""
         spec = self.spec
-        cell_ids = required_array(arrays, "cell_ids", dtype="<i8", ndim=2)
+        cell_ids = required_array(arrays, "cell_ids", dtype="<i4", ndim=2)
         if cell_ids.shape != (spec.n, 9):
             raise ArtifactCorruptError(
                 f"artifact cell-id matrix has shape {cell_ids.shape}, "
@@ -360,7 +389,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
             ) from None
         self._index = self._restore_index(grid, meta, arrays)
         self._cell_ids = cell_ids
-        self._s_position_sorter = None
+        self._s_id_lookup = None
 
     def _restore_index(
         self,
@@ -400,37 +429,34 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         index = self._index
         assert index is not None
         r_xs, r_ys = self.spec.r_points.xs, self.spec.r_points.ys
+        n = self.spec.n
+        bounds = np.zeros((n, 9), dtype=np.int32)
         if self._vectorized:
             # Count R in cell order: the queries of one cell share their 3x3
             # block, so every column's cell ids arrive in runs and the
-            # kernels' per-cell grouping sorts run over sorted input.  Each
-            # row is computed on its own, so scattering the rows back to R
-            # order gives the same matrices.  The scatters wait for the count
-            # and drop each cell-order copy once done, so the R-order copies
-            # never coexist with the count's temporaries (the heap peak).
-            order = index.grid.cell_order(r_xs, r_ys)
-            xs, ys = r_xs[order], r_ys[order]
-            cell_ids = index.grid.neighbor_cell_ids(xs, ys, kernels=self.kernels)
-            ordered_bounds = index.batch_bounds(xs, ys, cell_ids)
-            del xs, ys
-            self._cell_ids = np.empty_like(cell_ids)
-            self._cell_ids[order] = cell_ids
-            del cell_ids
-            bounds = np.empty_like(ordered_bounds)
-            bounds[order] = ordered_bounds
-            del ordered_bounds
+            # kernels' per-cell grouping sorts run over sorted input.  The
+            # chunks hold whole cells, so each corner cell's queries (which
+            # all come from one R cell) reach the kernels together.  Each row
+            # is computed on its own and scattered straight to R order.
+            grid = index.grid
+            order, runs = grid.cell_runs(r_xs, r_ys)
+            ends = np.cumsum(runs)
+            cell_ids = np.empty((n, 9), dtype=np.int32)
+            for first, stop in group_blocks(runs, _COUNT_CHUNK_ROWS):
+                rows = order[ends[first] - runs[first] : ends[stop - 1]]
+                xs, ys = r_xs[rows], r_ys[rows]
+                chunk_ids = grid.neighbor_cell_ids(xs, ys, kernels=self.kernels)
+                bounds[rows] = index.batch_bounds(xs, ys, chunk_ids)
+                cell_ids[rows] = chunk_ids
+            self._cell_ids = cell_ids
         else:
-            bounds = np.zeros((self.spec.n, 9), dtype=np.float64)
-            for i in range(self.spec.n):
+            for i in range(n):
                 for contribution in index.contributions(float(r_xs[i]), float(r_ys[i])):
                     bounds[i, _KIND_COLUMN[contribution.kind]] = contribution.upper_bound
-        cumulative = np.cumsum(bounds, axis=1)
-        mu_totals = cumulative[:, -1]
+        mu_totals = row_totals(bounds)
         sum_mu = float(mu_totals.sum())
         alias = AliasTable(mu_totals) if sum_mu > 0 else None
-        return PreparedGridState(
-            bounds=bounds, cumulative=cumulative, alias=alias, sum_mu=sum_mu
-        )
+        return PreparedGridState(bounds=bounds, alias=alias, sum_mu=sum_mu)
 
     def _draw(
         self, state: PreparedGridState, t: int, rng: np.random.Generator
@@ -442,11 +468,12 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         )
         # The grid stores ids, not positions: map them back with a cached
         # sorted-id lookup.
-        s_points = self.spec.s_points
-        if self._s_position_sorter is None:
-            self._s_position_sorter = np.argsort(s_points.ids, kind="stable")
-        sorter = self._s_position_sorter
-        s_indices = sorter[np.searchsorted(s_points.ids[sorter], s_ids)]
+        if self._s_id_lookup is None:
+            ids = self.spec.s_points.ids
+            sorter = np.argsort(ids, kind="stable")
+            self._s_id_lookup = (sorter, ids[sorter])
+        sorter, sorted_ids = self._s_id_lookup
+        s_indices = sorter[np.searchsorted(sorted_ids, s_ids)]
         return r_indices, s_indices, iterations
 
     def _resolve_round(
@@ -484,16 +511,16 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         spec = self.spec
         index, cell_id_matrix = self._index, self.cell_ids
         assert index is not None and cell_id_matrix is not None
-        bounds, cumulative = self._prepared.bounds, self._prepared.cumulative
+        bounds = self._prepared.bounds
         kernels = self.kernels
         flat = index.grid.flat()
         half = spec.half_extent
 
-        rows = cumulative[r]
+        rows = _prefix_rows(bounds, r)
         # searchsorted(row, u * total, side="right") per attempt.
         col, totals = kernels.column_select(rows, u_col)
         counts = bounds[r, col].astype(np.int64)
-        cell_ids = cell_id_matrix[r, col]
+        cell_ids = cell_id_matrix[r, col].astype(np.int64)
         rx = spec.r_points.xs[r]
         ry = spec.r_points.ys[r]
         wxmin, wxmax = rx - half, rx + half
@@ -552,7 +579,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         spec = self.spec
         index = self._index
         assert index is not None and self._prepared is not None
-        bounds, cumulative = self._prepared.bounds, self._prepared.cumulative
+        bounds = self._prepared.bounds
         grid = index.grid
         r_xs, r_ys = spec.r_points.xs, spec.r_points.ys
         size = r.size
@@ -560,7 +587,7 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         cand_sid = np.full(size, -1, dtype=np.int64)
         for i in range(size):
             r_index = int(r[i])
-            row = cumulative[r_index]
+            row = np.cumsum(bounds[r_index], dtype=np.float64)
             total = row[-1]
             if total <= 0:
                 continue

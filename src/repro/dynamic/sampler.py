@@ -9,7 +9,8 @@ under point insertions and deletions **without rebuilding them**:
   membership changed are re-sorted, in the canonical order a fresh build
   produces, and the bucket envelopes are re-derived from the updated
   grid-flat view;
-* the dense ``(n, 9)`` per-point bound matrix is maintained row-wise: an
+* the dense int32 ``(n, 9)`` per-point bound matrix and its float64 row
+  totals ``mu(r)`` are maintained row-wise: an
   ``R`` insertion appends freshly counted rows, an ``R`` deletion compacts,
   and an ``S`` change recounts only the rows whose 3x3 block touches an
   affected cell (found through a packed-key dilation of the affected keys);
@@ -47,7 +48,7 @@ import numpy as np
 from repro.alias.walker import AliasTable, CumulativeTable
 from repro.core.base import JoinSampler, JoinSampleResult, PhaseTimings
 from repro.core.config import JoinSpec
-from repro.core.grid_sampler_base import GridJoinSamplerBase, PreparedGridState
+from repro.core.grid_sampler_base import GridJoinSamplerBase, PreparedGridState, row_totals
 from repro.core.registry import get_sampler
 from repro.dynamic.store import DynamicPointStore
 from repro.errors import InvalidSpecError
@@ -93,10 +94,14 @@ class UpdateReport:
 
 @dataclass
 class _DynamicState:
-    """The incrementally maintained online state."""
+    """The incrementally maintained online state.
+
+    ``bounds`` and ``cell_ids`` are int32 ``(n, 9)`` matrices, as the static
+    count phase leaves them; ``mu`` holds their float64 row totals.
+    """
 
     bounds: np.ndarray
-    cumulative: np.ndarray
+    mu: np.ndarray
     cell_ids: np.ndarray
     r_ix: np.ndarray
     r_iy: np.ndarray
@@ -398,7 +403,7 @@ class DynamicSampler(JoinSampler):
         r_ix, r_iy = self._keys_for(self.spec.r_points.xs, self.spec.r_points.ys)
         self._state = _DynamicState(
             bounds=_writable(runtime.bounds),
-            cumulative=_writable(runtime.cumulative),
+            mu=row_totals(runtime.bounds),
             cell_ids=_writable(cell_ids),
             r_ix=r_ix,
             r_iy=r_iy,
@@ -428,9 +433,9 @@ class DynamicSampler(JoinSampler):
             positions, _xs, _ys = store_r.delete(del_ids)
             keep = np.ones(state.bounds.shape[0], dtype=bool)
             keep[positions] = False
-            state.drift += float(state.cumulative[positions, -1].sum())
+            state.drift += float(state.mu[positions].sum())
             state.bounds = state.bounds[keep]
-            state.cumulative = state.cumulative[keep]
+            state.mu = state.mu[keep]
             state.cell_ids = state.cell_ids[keep]
             state.r_ix = state.r_ix[keep]
             state.r_iy = state.r_iy[keep]
@@ -439,13 +444,14 @@ class DynamicSampler(JoinSampler):
             inserted_ids = store_r.insert(ins_xs, ins_ys, ins_ids)
             grid = index.grid
             new_cell_ids = grid.neighbor_cell_ids(ins_xs, ins_ys)
-            new_bounds = index.batch_bounds(ins_xs, ins_ys, new_cell_ids)
-            new_cumulative = np.cumsum(new_bounds, axis=1)
-            state.drift += float(new_cumulative[:, -1].sum())
+            new_bounds = index.batch_bounds(ins_xs, ins_ys, new_cell_ids).astype(np.int32)
+            new_mu = row_totals(new_bounds)
+            state.drift += float(new_mu.sum())
             new_ix, new_iy = self._keys_for(ins_xs, ins_ys)
+            # int64 operands would upcast the int32 matrices.
             state.bounds = np.concatenate((state.bounds, new_bounds))
-            state.cumulative = np.concatenate((state.cumulative, new_cumulative))
-            state.cell_ids = np.concatenate((state.cell_ids, new_cell_ids))
+            state.mu = np.concatenate((state.mu, new_mu))
+            state.cell_ids = np.concatenate((state.cell_ids, new_cell_ids.astype(np.int32)))
             state.r_ix = np.concatenate((state.r_ix, new_ix))
             state.r_iy = np.concatenate((state.r_iy, new_iy))
         return int(ins_xs.size), inserted_ids, 0, False
@@ -522,17 +528,17 @@ class DynamicSampler(JoinSampler):
             # Cells were added or removed: every flat cell index may have
             # shifted, so the whole (n, 9) id matrix is re-resolved (one
             # lookup per distinct cell of R; the bounds stay put).
-            state.cell_ids = grid.neighbor_cell_ids(r_xs, r_ys)
+            state.cell_ids = grid.neighbor_cell_ids(r_xs, r_ys).astype(np.int32)
 
         rows = self._affected_rows(affected_keys, rebuilt_all)
         if rows.size:
-            old_weights = state.cumulative[rows, -1].copy()
-            new_bounds = index.batch_bounds(r_xs[rows], r_ys[rows], state.cell_ids[rows])
+            old_weights = state.mu[rows]
+            new_bounds = index.batch_bounds(
+                r_xs[rows], r_ys[rows], state.cell_ids[rows].astype(np.int64)
+            ).astype(np.int32)
             state.bounds[rows] = new_bounds
-            state.cumulative[rows] = np.cumsum(new_bounds, axis=1)
-            state.drift += float(
-                np.abs(state.cumulative[rows, -1] - old_weights).sum()
-            )
+            state.mu[rows] = row_totals(new_bounds)
+            state.drift += float(np.abs(state.mu[rows] - old_weights).sum())
         return int(rows.size), inserted_ids, len(affected_keys), rebuilt_all
 
     def _affected_rows(
@@ -575,8 +581,7 @@ class DynamicSampler(JoinSampler):
         state = self._state
         assert state is not None
         store_r, store_s = self._require_stores()
-        mu = state.cumulative[:, -1] if state.cumulative.shape[0] else np.empty(0)
-        state.sum_mu = float(mu.sum()) if mu.size else 0.0
+        state.sum_mu = float(state.mu.sum()) if state.mu.size else 0.0
         new_spec = JoinSpec(
             r_points=store_r.snapshot(),
             s_points=store_s.snapshot(),
@@ -592,7 +597,7 @@ class DynamicSampler(JoinSampler):
         assert state is not None
         if not self._router_stale:
             return
-        mu = state.cumulative[:, -1] if state.cumulative.shape[0] else np.empty(0)
+        mu = state.mu
         if mu.size == 0 or state.sum_mu <= 0.0:
             router = None
         elif (
@@ -610,7 +615,6 @@ class DynamicSampler(JoinSampler):
         self._inner.adopt_runtime(
             PreparedGridState(
                 bounds=state.bounds,
-                cumulative=state.cumulative,
                 alias=router,
                 sum_mu=state.sum_mu,
             ),

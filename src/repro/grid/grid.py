@@ -10,8 +10,8 @@ For the batch-sampling engine the grid additionally exposes a *flat* view
 (:class:`GridFlat`): every cell's sorted point arrays concatenated into
 single arrays with per-cell offsets, plus a packed-key table that resolves
 many ``(x, y) -> cell`` lookups with one ``searchsorted`` instead of one
-dict probe per point.  The flat view is built lazily on first use and adds
-O(m) memory.
+dict probe per point.  The cells are slices of the flat arrays, so the grid
+holds ``S`` once: six arrays of ``m`` entries, 48 bytes per point.
 """
 
 from __future__ import annotations
@@ -148,34 +148,24 @@ class Grid:
             order = _cell_order(ix, iy, stable=True)
         else:
             order = np.lexsort((ys, xs, iy, ix))
-        ix_sorted = ix[order]
-        iy_sorted = iy[order]
+        ix, iy = ix[order], iy[order]
         # Boundaries between runs of identical (ix, iy).
-        change = np.flatnonzero(
-            (np.diff(ix_sorted) != 0) | (np.diff(iy_sorted) != 0)
+        first = np.flatnonzero((np.diff(ix) != 0) | (np.diff(iy) != 0)) + 1
+        starts = np.concatenate(([0], first))
+        lengths = np.diff(np.append(starts, order.size))
+        xs_by_x, ys_by_x, ids_by_x = xs[order], ys[order], ids[order]
+        del order
+        # Each cell's y view (the paper's Sy(c)) sorts its run by (y, x): one
+        # small lexsort per cell into one permutation of the x views.
+        by_y = np.empty(xs_by_x.size, dtype=np.int64)
+        for lo, hi in zip(starts.tolist(), np.append(starts[1:], xs_by_x.size).tolist()):
+            by_y[lo:hi] = lo + np.lexsort((xs_by_x[lo:hi], ys_by_x[lo:hi]))
+        self._assemble(
+            ix[starts],
+            iy[starts],
+            lengths,
+            (xs_by_x, ys_by_x, ids_by_x, xs_by_x[by_y], ys_by_x[by_y], ids_by_x[by_y]),
         )
-        starts = np.concatenate(([0], change + 1))
-        ends = np.concatenate((change + 1, [order.shape[0]]))
-
-        for start, end in zip(starts, ends):
-            run = order[start:end]
-            key = (int(ix_sorted[start]), int(iy_sorted[start]))
-            cell_xs = xs[run]
-            cell_ys = ys[run]
-            cell_ids = ids[run]
-            bounds = Rect(
-                xmin=key[0] * self._cell_size,
-                ymin=key[1] * self._cell_size,
-                xmax=(key[0] + 1) * self._cell_size,
-                ymax=(key[1] + 1) * self._cell_size,
-            )
-            self._cells[key] = GridCell(
-                key=key,
-                xs_by_x=cell_xs,
-                ys_by_x=cell_ys,
-                ids_by_x=cell_ids,
-                bounds=bounds,
-            )
 
     # ------------------------------------------------------------------
     # Reconstruction from persisted arrays (the artifact warm-start path)
@@ -210,51 +200,70 @@ class Grid:
         grid = cls.__new__(cls)
         grid._cell_size = validate_half_extent(cell_size, name="cell_size")
         grid._source_name = source_name
-        grid._cells = {}
+        lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         keys_ix = np.asarray(keys_ix, dtype=np.int64)
         keys_iy = np.asarray(keys_iy, dtype=np.int64)
-        lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         if keys_ix.shape != lengths.shape or keys_iy.shape != lengths.shape:
             raise InvalidSpecError("cell key and length arrays must be parallel")
         if lengths.size and int(lengths.min()) < 1:
             raise InvalidSpecError("a grid never stores empty cells")
-        grid._size = int(lengths.sum())
+        size = int(lengths.sum())
         views = (xs_by_x, ys_by_x, ids_by_x, xs_by_y, ys_by_y, ids_by_y)
-        if any(view.shape != (grid._size,) for view in views):
+        if any(view.shape != (size,) for view in views):
             raise InvalidSpecError(
                 "every sorted view must hold exactly the summed cell lengths"
             )
-        starts = (
-            np.concatenate(([0], np.cumsum(lengths)[:-1]))
-            if lengths.size
-            else np.empty(0, dtype=np.int64)
-        )
-        # Cells slice plain ndarray views of the same buffers: slicing a
-        # memmap costs about eight times more per slice.
-        cell_xs, cell_ys, cell_ids, cell_xs_y, cell_ys_y, cell_ids_y = (
-            np.asarray(view) for view in views
-        )
-        for i in range(lengths.size):
-            key = (int(keys_ix[i]), int(keys_iy[i]))
-            lo = int(starts[i])
-            hi = lo + int(lengths[i])
-            grid._cells[key] = GridCell(
-                key=key,
-                xs_by_x=cell_xs[lo:hi],
-                ys_by_x=cell_ys[lo:hi],
-                ids_by_x=cell_ids[lo:hi],
-                xs_by_y=cell_xs_y[lo:hi],
-                ys_by_y=cell_ys_y[lo:hi],
-                ids_by_y=cell_ids_y[lo:hi],
-                bounds=Rect(
-                    xmin=key[0] * grid._cell_size,
-                    ymin=key[1] * grid._cell_size,
-                    xmax=(key[0] + 1) * grid._cell_size,
-                    ymax=(key[1] + 1) * grid._cell_size,
-                ),
-            )
+        grid._assemble(keys_ix, keys_iy, lengths, views)
         if len(grid._cells) != lengths.size:
             raise InvalidSpecError("cell keys must be unique")
+        return grid
+
+    def _assemble(
+        self,
+        keys_ix: np.ndarray,
+        keys_iy: np.ndarray,
+        lengths: np.ndarray,
+        views: tuple[np.ndarray, ...],
+    ) -> None:
+        """Install the flat view and cut every cell out of it as slices.
+
+        ``views`` are the six concatenated sorted views in
+        :class:`GridFlat` order, the cells given by ``keys_ix``/``keys_iy``
+        and ``lengths`` in canonical order.  The cells hold slices of these
+        arrays, so the grid keeps one copy of ``S``.
+        """
+        self._cells = {}
+        self._size = int(lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        # Cells slice plain ndarray views of the same buffers: slicing a
+        # memmap costs about eight times more per slice.  The loop runs once
+        # per cell on every build and attach, so it spells its slices out.
+        xs, ys, ids, xs_y, ys_y, ids_y = (np.asarray(view) for view in views)
+        size = self._cell_size
+        for ix, iy, lo, hi in zip(
+            keys_ix.tolist(), keys_iy.tolist(), starts.tolist(), (starts + lengths).tolist()
+        ):
+            self._cells[(ix, iy)] = GridCell(
+                (ix, iy),
+                xs[lo:hi],
+                ys[lo:hi],
+                ids[lo:hi],
+                xs_y[lo:hi],
+                ys_y[lo:hi],
+                ids_y[lo:hi],
+                Rect(ix * size, iy * size, (ix + 1) * size, (iy + 1) * size),
+            )
+        self._flat = self._flat_view(keys_ix, keys_iy, starts, lengths, views)
+
+    def _flat_view(
+        self,
+        keys_ix: np.ndarray,
+        keys_iy: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        views: tuple[np.ndarray, ...],
+    ) -> GridFlat:
+        """The :class:`GridFlat` over the current cells and their sorted views."""
         supports_packing = bool(
             lengths.size
             and np.all(np.abs(keys_ix) <= _PACK_LIMIT)
@@ -268,21 +277,15 @@ class Grid:
         else:
             packed_keys = np.empty(0, dtype=np.int64)
             packed_cell_ids = np.empty(0, dtype=np.int64)
-        grid._flat = GridFlat(
-            cells=tuple(grid._cells.values()),
-            starts=starts,
-            lengths=lengths,
-            xs_by_x=xs_by_x,
-            ys_by_x=ys_by_x,
-            ids_by_x=ids_by_x,
-            xs_by_y=xs_by_y,
-            ys_by_y=ys_by_y,
-            ids_by_y=ids_by_y,
+        return GridFlat(
+            tuple(self._cells.values()),
+            starts,
+            lengths,
+            *views,
             packed_keys=packed_keys,
             packed_cell_ids=packed_cell_ids,
             supports_packing=supports_packing,
         )
-        return grid
 
     # ------------------------------------------------------------------
     # Lookup
@@ -408,43 +411,36 @@ class Grid:
         return self._flat
 
     def _build_flat(self) -> GridFlat:
+        """Concatenate the cells (after :meth:`apply_cell_updates`) into a new flat view.
+
+        Every cell is then re-sliced in place onto the new arrays, so the
+        buffers the old cells sliced are freed and the grid again holds one
+        copy of ``S``.
+        """
         cells = tuple(self._cells.values())
-        lengths = np.array([len(cell) for cell in cells], dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1])) if cells else np.empty(0, dtype=np.int64)
-
-        def concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
-            if not arrays:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(arrays)
-
-        keys_ix = np.array([cell.key[0] for cell in cells], dtype=np.int64)
-        keys_iy = np.array([cell.key[1] for cell in cells], dtype=np.int64)
-        supports_packing = bool(
-            cells
-            and np.all(np.abs(keys_ix) <= _PACK_LIMIT)
-            and np.all(np.abs(keys_iy) <= _PACK_LIMIT)
-        )
-        if supports_packing:
-            packed = _pack_keys(keys_ix, keys_iy)
-            order = np.argsort(packed, kind="stable")
-            packed_keys = packed[order]
-            packed_cell_ids = order.astype(np.int64)
+        lengths = np.fromiter((len(cell) for cell in cells), dtype=np.int64, count=len(cells))
+        starts = np.cumsum(lengths) - lengths
+        if cells:
+            views = (
+                np.concatenate([cell.xs_by_x for cell in cells]),
+                np.concatenate([cell.ys_by_x for cell in cells]),
+                np.concatenate([cell.ids_by_x for cell in cells]),
+                np.concatenate([cell.xs_by_y for cell in cells]),
+                np.concatenate([cell.ys_by_y for cell in cells]),
+                np.concatenate([cell.ids_by_y for cell in cells]),
+            )
         else:
-            packed_keys = np.empty(0, dtype=np.int64)
-            packed_cell_ids = np.empty(0, dtype=np.int64)
-        return GridFlat(
-            cells=cells,
-            starts=starts,
-            lengths=lengths,
-            xs_by_x=concat([c.xs_by_x for c in cells], np.float64),
-            ys_by_x=concat([c.ys_by_x for c in cells], np.float64),
-            ids_by_x=concat([c.ids_by_x for c in cells], np.int64),
-            xs_by_y=concat([c.xs_by_y for c in cells], np.float64),
-            ys_by_y=concat([c.ys_by_y for c in cells], np.float64),
-            ids_by_y=concat([c.ids_by_y for c in cells], np.int64),
-            packed_keys=packed_keys,
-            packed_cell_ids=packed_cell_ids,
-            supports_packing=supports_packing,
+            views = (*(np.empty(0) for _ in range(2)), np.empty(0, dtype=np.int64)) * 2
+        xs, ys, ids, xs_y, ys_y, ids_y = views
+        for cell, lo, hi in zip(cells, starts.tolist(), (starts + lengths).tolist()):
+            cell.xs_by_x, cell.ys_by_x, cell.ids_by_x = xs[lo:hi], ys[lo:hi], ids[lo:hi]
+            cell.xs_by_y, cell.ys_by_y, cell.ids_by_y = xs_y[lo:hi], ys_y[lo:hi], ids_y[lo:hi]
+        return self._flat_view(
+            np.array([cell.key[0] for cell in cells], dtype=np.int64),
+            np.array([cell.key[1] for cell in cells], dtype=np.int64),
+            starts,
+            lengths,
+            views,
         )
 
     def lookup_cell_ids(
@@ -486,14 +482,20 @@ class Grid:
             np.floor(np.asarray(ys, dtype=np.float64) / self._cell_size).astype(np.int64),
         )
 
-    def cell_order(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Permutation grouping the locations by cell, in grid cell order.
+    def cell_runs(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Permutation grouping the locations by cell, and the length of each group.
 
-        Along it, every column of :meth:`neighbor_cell_ids` is non-decreasing
-        apart from its ``-1`` (empty cell) entries.  The order within a cell
-        is unspecified.
+        The groups follow grid cell order, so along the permutation every
+        column of :meth:`neighbor_cell_ids` is non-decreasing apart from its
+        ``-1`` (empty cell) entries.  The order within a cell is unspecified.
         """
-        return _cell_order(*self._keys(xs, ys))
+        ix, iy = self._keys(xs, ys)
+        order = _cell_order(ix, iy)
+        ix = ix[order]
+        iy = iy[order]
+        first = np.flatnonzero((ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])) + 1
+        edges = np.concatenate(([0], first, [order.size])) if order.size else np.zeros(1)
+        return order, np.diff(edges).astype(np.int64)
 
     def neighbor_cell_ids(
         self, xs: np.ndarray, ys: np.ndarray, kernels=None

@@ -12,12 +12,9 @@ predicate, so it may compute them in any exact way (a scan or rank tables).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.batching import (
-    MAX_BLOCK_ITEMS,
     group_blocks,
     pick_int,
     ragged_offsets,
@@ -53,9 +50,11 @@ _CENTER, _LEFT, _RIGHT, _DOWN, _UP = range(5)
 #: with about 20 R points each beside them took 4.8 s instead of 0.25 s.
 _DENSE_MIN_PAIRS = 2_000
 
-#: Most buckets one rank table covers, so that its ``(B + 1) x (B + 1)``
-#: entries stay within ``MAX_BLOCK_ITEMS``; longer cells are split into runs.
-_TABLE_RUN = math.isqrt(MAX_BLOCK_ITEMS) - 1
+#: Most buckets one rank table covers (longer cells are split into runs): a
+#: table of ``(B + 1) x (B + 1)`` int32 entries, at most 16 MB.  Measured
+#: with the NYC, uniform and Foursquare counts above; it also sets which
+#: cells :func:`_tabled_cells` tables.
+_TABLE_RUN = 1_999
 
 
 def column_select(rows: np.ndarray, u_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,13 @@ and through the dynamic-update engine after a ``flush()``.
 import numpy as np
 import pytest
 
-from repro.artifacts import attach_sampler_artifact, save_sampler_artifact
+from repro.artifacts import attach_sampler_artifact, save_sampler_artifact, write_artifact
 from repro.core.config import JoinSpec
 from repro.core.registry import create_sampler
 from repro.datasets.partition import split_r_s
 from repro.datasets.synthetic import uniform_points
 from repro.dynamic import DynamicSampler
-from repro.errors import ArtifactCorruptError, ArtifactError
+from repro.errors import ArtifactCorruptError, ArtifactError, ArtifactVersionError
 from repro.geometry.point import PointSet
 from repro.parallel import ShardedSampler
 
@@ -66,6 +66,26 @@ class TestSerialSamplers:
         other = create_sampler("cell-kdtree", spec)
         with pytest.raises(ArtifactCorruptError):
             attach_sampler_artifact(other, tmp_path / "bbst")
+
+    @pytest.mark.parametrize("name", ["bbst", "cell-kdtree"])
+    def test_schema_1_grid_artifact_refused(self, name, spec, tmp_path):
+        """The schema-1 layout (float64 bounds and prefix sums, int64 cell ids)."""
+        fresh = create_sampler(name, spec)
+        fresh.prepare()
+        meta, arrays = fresh.export_prepared_arrays()
+        assert meta["schema"] == 2 and "state.cumulative" not in arrays
+        bounds = arrays["state.bounds"].astype(np.float64)
+        arrays.update(
+            {
+                "state.bounds": bounds,
+                "state.cumulative": np.cumsum(bounds, axis=1),
+                "cell_ids": arrays["cell_ids"].astype(np.int64),
+            }
+        )
+        meta.update(schema=1, n=spec.n, m=spec.m, half_extent=spec.half_extent)
+        write_artifact(tmp_path / "old", meta, arrays)
+        with pytest.raises(ArtifactVersionError, match="schema 1"):
+            attach_sampler_artifact(create_sampler(name, spec), tmp_path / "old")
 
     def test_unprepared_sampler_cannot_save(self, spec, tmp_path):
         fresh = create_sampler("bbst", spec)

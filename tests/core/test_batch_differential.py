@@ -113,7 +113,6 @@ class TestCountingPhaseEquality:
         v_state = vectorized._prepared
         s_state = scalar._prepared
         np.testing.assert_array_equal(v_state.bounds, s_state.bounds)
-        np.testing.assert_array_equal(v_state.cumulative, s_state.cumulative)
         assert v_state.sum_mu == s_state.sum_mu
 
     def test_kds_counts_identical(self, small_uniform_spec):

@@ -64,11 +64,11 @@ DYNAMIC_PINS: dict[str, str] = {
 }
 
 ARTIFACT_PINS: dict[str, str] = {
-    "bbst": "2640ecf13c7606447f8a06f48c373c36401558facb518b40ceb7f3a14d04c37b",
-    "cell-kdtree": "6f6db991ad4d2e8878101702238398ed73a5d281b25a08c5200865332a148e79",
+    "bbst": "cba988d3d4afcd37d9ec497133a55dee3b9b1a6059e4c94163ce535e954265fb",
+    "cell-kdtree": "e4129f8b041c9da331e31d6569f828a3d35a18ee5be962608af7b122513baf08",
     "kds": "fdbd38f94fdb0a5fa1b81c01c2f6d1fe3ca1e055198a4b68c574f8a5b9654fa6",
     "kds-rejection": "5a4666817a6c31400232f5c93f74a5d704d0cd9845a0a6c1ee0e1c89baff1cce",
-    "dynamic-bbst-updated": "4d50199ce5d31d6945819990cc70677bdd650259c09e17d158d476e233c33fe2",
+    "dynamic-bbst-updated": "6b9200e30e844bc5c048e49da2116b28a02fa935317abbb41e7a48650681e10e",
 }
 
 

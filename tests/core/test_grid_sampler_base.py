@@ -6,8 +6,10 @@ import pytest
 from repro.core.bbst_sampler import BBSTSampler
 from repro.core.cell_kdtree_sampler import CellKDTreeSampler
 from repro.core.config import JoinSpec
-from repro.core.grid_sampler_base import _KIND_COLUMN
+from repro.core import grid_sampler_base
+from repro.core.grid_sampler_base import _KIND_COLUMN, row_totals
 from repro.geometry.point import PointSet
+from repro.grid.grid import Grid
 from repro.grid.neighbors import NEIGHBOR_OFFSETS, NeighborKind
 
 
@@ -40,6 +42,44 @@ class TestCountOrder:
         assert shuffled.runtime.sum_mu == plain.runtime.sum_mu
 
 
+class TestChunkedCount:
+    @pytest.mark.parametrize("sampler_class", [BBSTSampler, CellKDTreeSampler])
+    def test_small_chunks_give_the_same_state_and_draws(
+        self, sampler_class, medium_spec, monkeypatch
+    ):
+        """Chunks of whole R cells: cells larger than a chunk, several cells per chunk."""
+        whole = sampler_class(medium_spec)
+        whole_draws = whole.sample(300, seed=4)
+        seen: list[np.ndarray] = []
+        original = Grid.neighbor_cell_ids
+
+        def recording(grid, xs, ys, kernels=None):
+            seen.append(np.stack(grid._keys(xs, ys), axis=1))
+            return original(grid, xs, ys, kernels=kernels)
+
+        monkeypatch.setattr(grid_sampler_base, "_COUNT_CHUNK_ROWS", 7)
+        monkeypatch.setattr(Grid, "neighbor_cell_ids", recording)
+        chunked = sampler_class(medium_spec)
+        chunked.prepare()
+        monkeypatch.setattr(Grid, "neighbor_cell_ids", original)
+        chunked_draws = chunked.sample(300, seed=4)
+
+        sizes = [keys.shape[0] for keys in seen]
+        assert sum(sizes) == medium_spec.n
+        assert max(sizes) > 7 and len(sizes) > 10
+        cells = [{tuple(key) for key in keys.tolist()} for keys in seen]
+        assert any(len(chunk) > 1 for chunk in cells)
+        assert sum(len(chunk) for chunk in cells) == len(set().union(*cells))
+        assert all(len(chunk) == 1 for chunk, size in zip(cells, sizes) if size > 7)
+
+        np.testing.assert_array_equal(chunked.runtime.bounds, whole.runtime.bounds)
+        np.testing.assert_array_equal(chunked.cell_ids, whole.cell_ids)
+        assert chunked.runtime.bounds.dtype == chunked.cell_ids.dtype == np.int32
+        assert chunked.runtime.sum_mu == whole.runtime.sum_mu
+        np.testing.assert_array_equal(chunked_draws.index_pairs(), whole_draws.index_pairs())
+        assert chunked_draws.iterations == whole_draws.iterations
+
+
 class TestSkeletonBehaviour:
     def test_sorted_s_available_after_preprocess(self, small_uniform_spec):
         sampler = BBSTSampler(small_uniform_spec)
@@ -59,9 +99,10 @@ class TestSkeletonBehaviour:
         sampler = BBSTSampler(small_uniform_spec)
         sampler.sample(0, seed=0)
         state = sampler._prepared
-        bounds, cumulative, sum_mu = state.bounds, state.cumulative, state.sum_mu
+        bounds, sum_mu = state.bounds, state.sum_mu
         assert bounds.shape == (small_uniform_spec.n, 9)
-        assert np.allclose(cumulative[:, -1], bounds.sum(axis=1))
+        assert bounds.dtype == np.int32
+        assert sum_mu == float(row_totals(bounds).sum())
         assert sum_mu == pytest.approx(float(bounds.sum()))
         index = sampler.index
         r_points = small_uniform_spec.r_points

@@ -68,6 +68,49 @@ class TestMaintainedState:
         assert np.array_equal(dyn.inner.runtime.bounds, fresh.runtime.bounds)
         assert np.array_equal(dyn.inner.cell_ids, fresh.cell_ids)
 
+    def test_state_stays_int32_through_updates(self):
+        """No update path upcasts the int32 bound and cell-id matrices."""
+        dyn = DynamicSampler(_spec())
+        dyn.prepare()
+
+        def assert_int32():
+            dyn.sample(5, seed=0)  # installs the maintained state in the inner sampler
+            state = dyn.inner.runtime
+            assert state.bounds.dtype == dyn.inner.cell_ids.dtype == np.int32
+            assert state.bounds.shape == dyn.inner.cell_ids.shape == (len(dyn.r_points), 9)
+
+        assert_int32()
+        rng = np.random.default_rng(3)
+        dyn.update("r", insert=(rng.uniform(0, 10_000, 30), rng.uniform(0, 10_000, 30)))
+        assert_int32()
+        dyn.update("r", delete=dyn.r_points.ids[::5])
+        assert_int32()
+        cells = dyn.inner.index.grid.num_cells
+        far = np.array([50_000.0, 50_010.0])  # both in cell (166, 166)
+        dyn.update("s", insert=(far, far), delete=dyn.inner.index.grid.flat().cells[0].ids_by_x)
+        assert_int32()
+        assert dyn.inner.index.grid.num_cells == cells  # one cell removed, one added
+        assert dyn.inner.index.grid.get((166, 166)) is not None
+
+    def test_draws_map_ids_to_positions_after_an_s_update(self):
+        """The cached id -> position lookup follows S through deletes and inserts."""
+        dyn = DynamicSampler(_spec())
+        dyn.sample(200, seed=1)  # caches the lookup over the initial S
+        rng = np.random.default_rng(9)
+        dyn.update(
+            "s",
+            insert=(rng.uniform(0, 10_000, 80), rng.uniform(0, 10_000, 80)),
+            delete=dyn.s_points.ids[1::3],
+        )
+        result = dyn.sample(400, seed=2)
+        final = _final_spec(dyn)
+        s_ids = final.s_points.ids
+        assert all(pair.s_id == s_ids[pair.s_index] for pair in result.pairs)
+        assert all(final.pair_matches(p.r_index, p.s_index) for p in result.pairs)
+        dyn.flush()
+        fresh = create_sampler("bbst", final)
+        assert dyn.sample(400, seed=5).id_pairs() == fresh.sample(400, seed=5).id_pairs()
+
     def test_weights_stay_exact_on_skewed_data(self):
         rng = np.random.default_rng(4)
         points = zipf_cluster_points(900, rng, num_clusters=6, skew=1.5)

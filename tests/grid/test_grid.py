@@ -6,6 +6,7 @@ import pytest
 from repro.geometry.point import PointSet
 from repro.geometry.predicates import count_in_rect
 from repro.geometry.rect import window_around
+from repro.grid.cell import GridCell
 from repro.grid.grid import Grid, _is_xy_sorted
 from repro.grid.neighbors import NeighborKind
 
@@ -64,6 +65,56 @@ class TestConstruction:
         for name in ("starts", "lengths", "xs_by_x", "ys_by_x", "ids_by_x",
                      "xs_by_y", "ys_by_y", "ids_by_y", "packed_keys", "packed_cell_ids"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+_VIEWS = ("xs_by_x", "ys_by_x", "ids_by_x", "xs_by_y", "ys_by_y", "ids_by_y")
+
+
+def _assert_cells_slice_the_flat_view(grid: Grid) -> None:
+    flat = grid.flat()
+    assert len(flat.cells) == grid.num_cells
+    for cell, start, length in zip(flat.cells, flat.starts, flat.lengths):
+        for name in _VIEWS:
+            view = getattr(cell, name)
+            assert np.shares_memory(view, getattr(flat, name)), name
+            np.testing.assert_array_equal(view, getattr(flat, name)[start : start + length])
+
+
+class TestOneCopyOfS:
+    """The cells are slices of the flat views, so the grid holds S once."""
+
+    def test_cells_share_memory_with_the_flat_views(self, rng):
+        xs = np.round(rng.random(2_000) * 3_000, 0)  # ties in x and in y
+        ys = np.round(rng.random(2_000) * 3_000, 0)
+        grid = Grid(PointSet(xs=xs, ys=ys), cell_size=250.0)
+        _assert_cells_slice_the_flat_view(grid)
+        # Each cell's y view is the (y, x) order a standalone cell computes.
+        for cell in grid:
+            alone = GridCell(cell.key, cell.xs_by_x, cell.ys_by_x, cell.ids_by_x)
+            for name in ("xs_by_y", "ys_by_y", "ids_by_y"):
+                np.testing.assert_array_equal(getattr(cell, name), getattr(alone, name))
+
+    def test_cells_are_re_sliced_after_cell_updates(self, rng):
+        points = PointSet(xs=rng.random(1_000) * 2_000, ys=rng.random(1_000) * 2_000)
+        grid = Grid(points, cell_size=250.0)
+        old = grid.flat()
+        removed = old.cells[0]
+        shrunk = next(cell for cell in old.cells[1:] if len(cell) > 1)
+        replacements = {
+            removed.key: None,
+            shrunk.key: grid.build_cell(
+                shrunk.key, shrunk.xs_by_x[1:], shrunk.ys_by_x[1:], shrunk.ids_by_x[1:]
+            ),
+            (50, 50): grid.build_cell(
+                (50, 50), np.array([12_600.0]), np.array([12_510.0]), np.array([5_000])
+            ),
+        }
+        grid.apply_cell_updates(replacements)
+        _assert_cells_slice_the_flat_view(grid)
+        assert grid.flat().xs_by_x.size == grid.num_points == 1_000 - len(removed)
+        for cell in grid:
+            for name in _VIEWS:
+                assert not np.shares_memory(getattr(cell, name), getattr(old, name)), name
 
 
 class TestLookup:
