@@ -4,11 +4,10 @@
         --parent ../parent-checkout
 
 Runs one cold ``sample(t)`` of the BBST sampler on the NYC hotspot proxy at
-``n = m`` (default ``10^7``, ``l = 100``, ``t = 10^5``) in a fresh process per
-checkout, parent and change alternating which goes first for ``--rounds``
-rounds.  Each run prints one JSON row: seconds, the GM / UB / sampling split,
-iterations, the SHA-256 of the drawn index pairs, peak RSS, and the RSS
-high-water mark at the end of each phase.  Every child runs under an
+``n = m`` (default ``10^7``, ``l = 100``, ``t = 10^5``, seed 1) in a fresh
+process per checkout, the parent first.  Each run prints one JSON row:
+seconds, the GM / UB / sampling split, iterations, the SHA-256 of the drawn
+index pairs, peak RSS, and the RSS high-water mark at the end of each phase.  Every child runs under an
 address-space limit (``ulimit -v``, ``--limit-mb``), so an overrun raises
 ``MemoryError`` in the child instead of waking the OOM killer.  The rows go
 under ``paper_scale`` in ``--output``, beside what ``record.py`` stores
@@ -26,6 +25,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Pairs drawn by the query, and the seed of its R/S split and its draws.
+T = 100_000
+SEED = 1
 
 #: The query one child runs; ``{n}``, ``{t}`` and ``{seed}`` are filled in.
 CHILD = """
@@ -85,7 +88,7 @@ def parse_row(stdout: str) -> dict:
     return json.loads(rows[-1][len("row ") :])
 
 
-def one_run(checkout: Path, n: int, t: int, seed: int, limit_mb: int) -> dict:
+def one_run(checkout: Path, n: int, limit_mb: int) -> dict:
     """Run the query in a fresh process on ``checkout``'s sources."""
     limit = limit_mb * 1024 * 1024
 
@@ -93,7 +96,7 @@ def one_run(checkout: Path, n: int, t: int, seed: int, limit_mb: int) -> dict:
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     completed = subprocess.run(
-        [sys.executable, "-c", CHILD.format(n=n, t=t, seed=seed)],
+        [sys.executable, "-c", CHILD.format(n=n, t=T, seed=SEED)],
         cwd=checkout,
         env={**os.environ, "PYTHONPATH": str(checkout / "src")},
         capture_output=True,
@@ -107,21 +110,16 @@ def one_run(checkout: Path, n: int, t: int, seed: int, limit_mb: int) -> dict:
     return parse_row(completed.stdout)
 
 
-def summary(rows: dict[str, list[dict]]) -> dict:
+def summary(rows: dict[str, dict]) -> dict:
     """Change against parent: peak RSS and seconds ratios, and whether the pairs match."""
-    ok = {label: [row for row in side if "error" not in row] for label, side in rows.items()}
-    if not ok.get("parent") or not ok.get("change"):
+    parent, change = rows["parent"], rows["change"]
+    if "error" in parent or "error" in change:
         return {}
-    parent, change = ok["parent"][0], ok["change"][0]
     return {
         "peak_rss_ratio": change["peak_rss_mb"] / parent["peak_rss_mb"],
         "seconds_ratio": change["seconds"] / parent["seconds"],
-        "same_pairs": all(
-            row["pairs_digest"] == parent["pairs_digest"]
-            and row["iterations"] == parent["iterations"]
-            for side in ok.values()
-            for row in side
-        ),
+        "same_pairs": change["pairs_digest"] == parent["pairs_digest"]
+        and change["iterations"] == parent["iterations"],
     }
 
 
@@ -131,30 +129,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--n", type=int, default=10_000_000, help="n = m (default 10^7)")
-    parser.add_argument("--t", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--limit-mb", type=int, default=6_144, help="address-space cap per run")
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent.resolve(), "change": args.checkout.resolve()}
-    rows: dict[str, list[dict]] = {label: [] for label in sides}
-    for round_index in range(args.rounds):
-        order = list(sides) if round_index % 2 == 0 else list(sides)[::-1]
-        for label in order:
-            row = one_run(sides[label], args.n, args.t, args.seed, args.limit_mb)
-            rows[label].append(row)
-            print(f"{label} " + json.dumps(row), flush=True)
+    rows: dict[str, dict] = {}
+    for label, checkout in (("parent", args.parent), ("change", args.checkout)):
+        rows[label] = one_run(checkout.resolve(), args.n, args.limit_mb)
+        print(f"{label} " + json.dumps(rows[label]), flush=True)
 
     document = json.loads(args.output.read_text()) if args.output.exists() else {"sets": {}}
     document["paper_scale"] = {
-        "query": {"dataset": "nyc", "n": args.n, "m": args.n, "l": 100.0, "t": args.t,
-                  "seed": args.seed, "limit_mb": args.limit_mb},
+        "query": {"dataset": "nyc", "n": args.n, "m": args.n, "l": 100.0, "t": T,
+                  "seed": SEED, "limit_mb": args.limit_mb},
         "rows": rows,
         "summary": summary(rows),
     }
     args.output.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
-    return 0 if all("error" not in row for side in rows.values() for row in side) else 1
+    return 0 if all("error" not in row for row in rows.values()) else 1
 
 
 if __name__ == "__main__":

@@ -433,12 +433,17 @@ class SamplingSession:
         algorithm: str | None = None,
         half_extent: float | None = None,
         jobs: int | None = None,
+        *,
+        verified: bool = False,
     ) -> _CacheEntry:
         """Resolve a key to its (pinned) cache entry, building it when cold.
 
         The returned entry has its ``pins`` count incremented: the caller
         MUST pair this with :meth:`_release_entry` (the draw paths do so in
         ``finally`` blocks), or the entry becomes permanently unevictable.
+        ``verified`` skips the exhaustive input check before a cold build;
+        only :meth:`load` passes it, for the entries it attaches in the same
+        call that fingerprinted the inputs.
         """
         self._check_open()
         self._check_inputs_fresh()
@@ -462,7 +467,8 @@ class SamplingSession:
                 entry = self._pin_cached(key)
             if entry is not None:
                 return entry
-            self._check_inputs_fresh(full=True)
+            if not verified:
+                self._check_inputs_fresh(full=True)
             artifact = self._artifact_path(key)
             entry = self._new_entry(key, spec, artifact)
             with self._lock:
@@ -860,8 +866,12 @@ class SamplingSession:
             **kwargs,
         )
         if eager:
+            # The constructor has just hashed the inputs in full and matched
+            # them against the manifest: attach without hashing them again.
             for name, l, key_jobs in sorted(session._artifact_entries):
-                session.resolve(name, l, key_jobs)
+                session._release_entry(
+                    session._resolve_entry(name, l, key_jobs, verified=True)
+                )
         return session
 
     # ------------------------------------------------------------------

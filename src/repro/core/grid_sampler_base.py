@@ -311,8 +311,8 @@ class GridJoinSamplerBase(PersistentJoinSampler):
         flat = index.grid.flat()
         arrays = {
             "cell_ids": self.cell_ids,
-            "grid.keys_ix": np.array([cell.key[0] for cell in flat.cells], dtype=np.int64),
-            "grid.keys_iy": np.array([cell.key[1] for cell in flat.cells], dtype=np.int64),
+            "grid.keys_ix": flat.keys_ix,
+            "grid.keys_iy": flat.keys_iy,
             "grid.lengths": flat.lengths,
             "grid.xs_by_x": flat.xs_by_x,
             "grid.ys_by_x": flat.ys_by_x,

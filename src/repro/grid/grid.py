@@ -10,14 +10,18 @@ For the batch-sampling engine the grid additionally exposes a *flat* view
 (:class:`GridFlat`): every cell's sorted point arrays concatenated into
 single arrays with per-cell offsets, plus a packed-key table that resolves
 many ``(x, y) -> cell`` lookups with one ``searchsorted`` instead of one
-dict probe per point.  The cells are slices of the flat arrays, so the grid
-holds ``S`` once: six arrays of ``m`` entries, 48 bytes per point.
+dict probe per point.  The flat arrays are the grid's only copy of ``S``: six
+arrays of ``m`` entries, 48 bytes per point.  A :class:`GridCell` is cut from
+them (six slices) the first time it is asked for, so building or attaching a
+grid does no per-cell Python work beyond the y sorts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+import operator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,6 +43,63 @@ _PACK_LIMIT = np.int64(2**31 - 1)
 PACK_LIMIT = _PACK_LIMIT
 
 
+class _CellSlices(Sequence[GridCell]):
+    """A grid's cells in flat order, each cut from the flat views when first read.
+
+    Cell ``i`` is six slices of the views plus its key and rectangle; it is
+    made on first access and kept, so an index always yields the same object.
+    """
+
+    __slots__ = ("_views", "_keys_ix", "_keys_iy", "_starts", "_lengths", "_cell_size", "_made")
+
+    def __init__(
+        self,
+        views: tuple[np.ndarray, ...],
+        keys_ix: np.ndarray,
+        keys_iy: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        cell_size: float,
+    ) -> None:
+        # Plain ndarray views of the same buffers: slicing a memmap costs
+        # about eight times more per slice.
+        self._views = tuple(np.asarray(view) for view in views)
+        self._keys_ix = keys_ix
+        self._keys_iy = keys_iy
+        self._starts = starts
+        self._lengths = lengths
+        self._cell_size = cell_size
+        self._made: list[GridCell | None] = [None] * int(lengths.size)
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._made)))]
+        i = operator.index(i)
+        cell = self._made[i]
+        if cell is None:
+            i %= len(self._made)
+            ix, iy = int(self._keys_ix[i]), int(self._keys_iy[i])
+            lo = int(self._starts[i])
+            hi = lo + int(self._lengths[i])
+            xs, ys, ids, xs_y, ys_y, ids_y = self._views
+            size = self._cell_size
+            cell = GridCell(
+                (ix, iy),
+                xs[lo:hi],
+                ys[lo:hi],
+                ids[lo:hi],
+                xs_y[lo:hi],
+                ys_y[lo:hi],
+                ids_y[lo:hi],
+                Rect(ix * size, iy * size, (ix + 1) * size, (iy + 1) * size),
+            )
+            self._made[i] = cell
+        return cell
+
+
 @dataclass(frozen=True)
 class GridFlat:
     """Concatenated, gather-friendly view of a grid's cells.
@@ -47,10 +108,13 @@ class GridFlat:
     of every flat array.  ``*_by_x`` arrays concatenate each cell's x-sorted
     view, ``*_by_y`` the y-sorted copy ``Sy(c)``; within its slice each view
     keeps the cell's own sort order, so a (cell, position) pair from the
-    scalar code maps to ``starts[cell] + position`` here.
+    scalar code maps to ``starts[cell] + position`` here.  ``keys_ix`` /
+    ``keys_iy`` hold the cells' keys in ascending ``(ix, iy)`` order.
     """
 
-    cells: tuple[GridCell, ...]
+    cells: Sequence[GridCell]
+    keys_ix: np.ndarray
+    keys_iy: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
     xs_by_x: np.ndarray
@@ -110,6 +174,51 @@ def _cell_order(ix: np.ndarray, iy: np.ndarray, stable: bool = False) -> np.ndar
     return np.lexsort((iy, ix))
 
 
+def _views_of(source: GridFlat | GridCell) -> tuple[np.ndarray, ...]:
+    """The six sorted views of a flat view or a cell, in :class:`GridFlat` order."""
+    return (
+        source.xs_by_x,
+        source.ys_by_x,
+        source.ids_by_x,
+        source.xs_by_y,
+        source.ys_by_y,
+        source.ids_by_y,
+    )
+
+
+def _empty_views() -> tuple[np.ndarray, ...]:
+    """The six sorted views of a grid with no points."""
+    coords = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+    return coords + tuple(view.copy() for view in coords)
+
+
+def _find_cells(flat: GridFlat, ix, iy, kernels=None) -> np.ndarray:
+    """Flat cell index per ``(ix, iy)`` key of ``flat``, or ``-1`` for empty cells."""
+    ix = np.asarray(ix, dtype=np.int64)
+    iy = np.asarray(iy, dtype=np.int64)
+    out = np.full(ix.shape, -1, dtype=np.int64)
+    if not flat.lengths.size:
+        return out
+    if not flat.supports_packing or np.any(np.abs(ix) > _PACK_LIMIT) or np.any(
+        np.abs(iy) > _PACK_LIMIT
+    ):
+        # Coordinates outside the 32-bit key range: per-point dict probes.
+        index_of = dict(
+            zip(zip(flat.keys_ix.tolist(), flat.keys_iy.tolist()), range(flat.lengths.size))
+        )
+        for pos in range(ix.size):
+            out.flat[pos] = index_of.get((int(ix.flat[pos]), int(iy.flat[pos])), -1)
+        return out
+    packed = _pack_keys(ix, iy)
+    if kernels is not None:
+        return kernels.packed_lookup(flat.packed_keys, flat.packed_cell_ids, packed)
+    slots = np.searchsorted(flat.packed_keys, packed)
+    slots = np.minimum(slots, flat.packed_keys.size - 1)
+    found = flat.packed_keys[slots] == packed
+    out[found] = flat.packed_cell_ids[slots[found]]
+    return out
+
+
 class Grid:
     """Hash grid of non-empty cells over a point set.
 
@@ -127,15 +236,16 @@ class Grid:
     cells come out the same either way.
     """
 
-    __slots__ = ("_cells", "_cell_size", "_size", "_source_name", "_flat")
+    __slots__ = ("_cell_size", "_source_name", "_flat", "_pending", "_index")
 
     def __init__(self, points: PointSet, cell_size: float) -> None:
         self._cell_size = validate_half_extent(cell_size, name="cell_size")
-        self._size = len(points)
         self._source_name = points.name
-        self._cells: dict[tuple[int, int], GridCell] = {}
-        self._flat: GridFlat | None = None
+        self._pending: dict[tuple[int, int], GridCell | None] = {}
+        self._index: dict[tuple[int, int], int] | None = None
         if len(points) == 0:
+            none = np.empty(0, dtype=np.int64)
+            self._assemble(none, none, none, _empty_views())
             return
 
         xs, ys, ids = points.xs, points.ys, points.ids
@@ -200,6 +310,8 @@ class Grid:
         grid = cls.__new__(cls)
         grid._cell_size = validate_half_extent(cell_size, name="cell_size")
         grid._source_name = source_name
+        grid._pending = {}
+        grid._index = None
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         keys_ix = np.asarray(keys_ix, dtype=np.int64)
         keys_iy = np.asarray(keys_iy, dtype=np.int64)
@@ -213,9 +325,10 @@ class Grid:
             raise InvalidSpecError(
                 "every sorted view must hold exactly the summed cell lengths"
             )
-        grid._assemble(keys_ix, keys_iy, lengths, views)
-        if len(grid._cells) != lengths.size:
+        order = np.lexsort((keys_iy, keys_ix))
+        if np.any((np.diff(keys_ix[order]) == 0) & (np.diff(keys_iy[order]) == 0)):
             raise InvalidSpecError("cell keys must be unique")
+        grid._assemble(keys_ix, keys_iy, lengths, views)
         return grid
 
     def _assemble(
@@ -225,45 +338,13 @@ class Grid:
         lengths: np.ndarray,
         views: tuple[np.ndarray, ...],
     ) -> None:
-        """Install the flat view and cut every cell out of it as slices.
+        """Install the flat view of the cells ``keys_ix``/``keys_iy``/``lengths``.
 
-        ``views`` are the six concatenated sorted views in
-        :class:`GridFlat` order, the cells given by ``keys_ix``/``keys_iy``
-        and ``lengths`` in canonical order.  The cells hold slices of these
-        arrays, so the grid keeps one copy of ``S``.
+        ``views`` are the six concatenated sorted views in :class:`GridFlat`
+        order, the cells given in canonical order.  No cell is made here:
+        :class:`_CellSlices` cuts each from the views on first access.
         """
-        self._cells = {}
-        self._size = int(lengths.sum())
         starts = np.cumsum(lengths) - lengths
-        # Cells slice plain ndarray views of the same buffers: slicing a
-        # memmap costs about eight times more per slice.  The loop runs once
-        # per cell on every build and attach, so it spells its slices out.
-        xs, ys, ids, xs_y, ys_y, ids_y = (np.asarray(view) for view in views)
-        size = self._cell_size
-        for ix, iy, lo, hi in zip(
-            keys_ix.tolist(), keys_iy.tolist(), starts.tolist(), (starts + lengths).tolist()
-        ):
-            self._cells[(ix, iy)] = GridCell(
-                (ix, iy),
-                xs[lo:hi],
-                ys[lo:hi],
-                ids[lo:hi],
-                xs_y[lo:hi],
-                ys_y[lo:hi],
-                ids_y[lo:hi],
-                Rect(ix * size, iy * size, (ix + 1) * size, (iy + 1) * size),
-            )
-        self._flat = self._flat_view(keys_ix, keys_iy, starts, lengths, views)
-
-    def _flat_view(
-        self,
-        keys_ix: np.ndarray,
-        keys_iy: np.ndarray,
-        starts: np.ndarray,
-        lengths: np.ndarray,
-        views: tuple[np.ndarray, ...],
-    ) -> GridFlat:
-        """The :class:`GridFlat` over the current cells and their sorted views."""
         supports_packing = bool(
             lengths.size
             and np.all(np.abs(keys_ix) <= _PACK_LIMIT)
@@ -277,8 +358,10 @@ class Grid:
         else:
             packed_keys = np.empty(0, dtype=np.int64)
             packed_cell_ids = np.empty(0, dtype=np.int64)
-        return GridFlat(
-            tuple(self._cells.values()),
+        self._flat = GridFlat(
+            _CellSlices(views, keys_ix, keys_iy, starts, lengths, self._cell_size),
+            keys_ix,
+            keys_iy,
             starts,
             lengths,
             *views,
@@ -286,6 +369,7 @@ class Grid:
             packed_cell_ids=packed_cell_ids,
             supports_packing=supports_packing,
         )
+        self._index = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -298,26 +382,37 @@ class Grid:
     @property
     def num_points(self) -> int:
         """Number of points mapped into the grid (``m``)."""
-        return self._size
+        return int(self.flat().xs_by_x.size)
 
     @property
     def num_cells(self) -> int:
         """Number of non-empty cells."""
-        return len(self._cells)
+        return int(self.flat().lengths.size)
 
     @property
     def cells(self) -> Mapping[tuple[int, int], GridCell]:
-        """Read-only view of the cell map."""
-        return self._cells
+        """Read-only map of every cell by key, in canonical order (makes every cell)."""
+        cells = self.flat().cells
+        return MappingProxyType({key: cells[i] for key, i in self._key_index().items()})
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self.num_cells
 
     def __iter__(self) -> Iterator[GridCell]:
-        return iter(self._cells.values())
+        return iter(self.flat().cells)
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._cells
+        self.flat()
+        return key in self._key_index()
+
+    def _key_index(self) -> dict[tuple[int, int], int]:
+        """Flat cell index by key, built on the first keyed lookup after a change."""
+        if self._index is None:
+            flat = self._flat
+            self._index = dict(
+                zip(zip(flat.keys_ix.tolist(), flat.keys_iy.tolist()), range(flat.lengths.size))
+            )
+        return self._index
 
     def key_for(self, x: float, y: float) -> tuple[int, int]:
         """Cell key of an arbitrary location."""
@@ -328,11 +423,13 @@ class Grid:
 
     def get(self, key: tuple[int, int]) -> GridCell | None:
         """Cell stored under ``key``, or ``None`` when the cell is empty."""
-        return self._cells.get(key)
+        flat = self.flat()
+        i = self._key_index().get(key)
+        return None if i is None else flat.cells[i]
 
     def cell_of(self, x: float, y: float) -> GridCell | None:
         """Cell containing the location ``(x, y)`` (``None`` when empty)."""
-        return self._cells.get(self.key_for(x, y))
+        return self.get(self.key_for(x, y))
 
     def neighborhood(
         self, x: float, y: float
@@ -346,7 +443,7 @@ class Grid:
         found: list[tuple[NeighborKind, GridCell]] = []
         for kind in NEIGHBOR_OFFSETS:
             dx, dy = kind.offset
-            cell = self._cells.get((cx + dx, cy + dy))
+            cell = self.get((cx + dx, cy + dy))
             if cell is not None:
                 found.append((kind, cell))
         return found
@@ -381,67 +478,86 @@ class Grid:
     def apply_cell_updates(
         self, replacements: Mapping[tuple[int, int], GridCell | None]
     ) -> None:
-        """Replace, add or drop cells and restore the canonical cell order.
+        """Replace, add or drop cells, keeping the canonical cell order.
 
         ``replacements`` maps cell keys to their new :class:`GridCell`
-        (``None`` drops a now-empty cell).  The cell dictionary is rebuilt in
+        (``None`` drops a now-empty cell).  The change is written into new
+        flat views on the next access (see :meth:`flat`), with the cells in
         ascending ``(ix, iy)`` key order - the order a fresh construction
-        produces - so the lazily rebuilt flat view (and therefore every flat
-        cell index) matches a from-scratch grid over the same points.
+        produces - so every flat cell index matches a from-scratch grid over
+        the same points.
         """
         for key, cell in replacements.items():
             if cell is not None and cell.key != key:
                 raise InvalidSpecError(f"cell key {cell.key} does not match slot {key}")
-            old = self._cells.pop(key, None)
-            if old is not None:
-                self._size -= len(old)
-            if cell is not None:
-                self._cells[key] = cell
-                self._size += len(cell)
-        self._cells = dict(sorted(self._cells.items()))
-        self._flat = None
+        self._pending.update(replacements)
 
     # ------------------------------------------------------------------
     # Batch (vectorised) lookups
     # ------------------------------------------------------------------
     def flat(self) -> GridFlat:
-        """The concatenated gather-friendly view (built lazily, then cached)."""
-        if self._flat is None:
-            self._flat = self._build_flat()
+        """The concatenated gather-friendly view (re-spliced after cell updates)."""
+        if self._pending:
+            self._splice()
         return self._flat
 
-    def _build_flat(self) -> GridFlat:
-        """Concatenate the cells (after :meth:`apply_cell_updates`) into a new flat view.
+    def _splice(self) -> None:
+        """Write the pending replacements into new flat views.
 
-        Every cell is then re-sliced in place onto the new arrays, so the
-        buffers the old cells sliced are freed and the grid again holds one
-        copy of ``S``.
+        The old views are copied in runs: the kept cells between two
+        replaced ones are contiguous there, so each run is one slice per
+        view and the Python work grows with the replaced cells, not with all
+        cells.  The old buffers are then freed with the old view.
         """
-        cells = tuple(self._cells.values())
-        lengths = np.fromiter((len(cell) for cell in cells), dtype=np.int64, count=len(cells))
-        starts = np.cumsum(lengths) - lengths
-        if cells:
-            views = (
-                np.concatenate([cell.xs_by_x for cell in cells]),
-                np.concatenate([cell.ys_by_x for cell in cells]),
-                np.concatenate([cell.ids_by_x for cell in cells]),
-                np.concatenate([cell.xs_by_y for cell in cells]),
-                np.concatenate([cell.ys_by_y for cell in cells]),
-                np.concatenate([cell.ids_by_y for cell in cells]),
-            )
-        else:
-            views = (*(np.empty(0) for _ in range(2)), np.empty(0, dtype=np.int64)) * 2
-        xs, ys, ids, xs_y, ys_y, ids_y = views
-        for cell, lo, hi in zip(cells, starts.tolist(), (starts + lengths).tolist()):
-            cell.xs_by_x, cell.ys_by_x, cell.ids_by_x = xs[lo:hi], ys[lo:hi], ids[lo:hi]
-            cell.xs_by_y, cell.ys_by_y, cell.ids_by_y = xs_y[lo:hi], ys_y[lo:hi], ids_y[lo:hi]
-        return self._flat_view(
-            np.array([cell.key[0] for cell in cells], dtype=np.int64),
-            np.array([cell.key[1] for cell in cells], dtype=np.int64),
-            starts,
-            lengths,
-            views,
+        old = self._flat
+        changes = sorted(self._pending.items())
+        self._pending = {}
+        at = _find_cells(
+            old,
+            np.array([key[0] for key, _cell in changes], dtype=np.int64),
+            np.array([key[1] for key, _cell in changes], dtype=np.int64),
         )
+        kept = np.ones(old.lengths.size, dtype=bool)
+        kept[at[at >= 0]] = False
+        added = [cell for _key, cell in changes if cell is not None]
+        # source >= 0: an old cell's flat index; source < 0: added[-1 - source].
+        source = np.concatenate(
+            (np.flatnonzero(kept), -1 - np.arange(len(added), dtype=np.int64))
+        )
+        keys_ix = np.concatenate(
+            (old.keys_ix[kept], np.array([cell.key[0] for cell in added], dtype=np.int64))
+        )
+        keys_iy = np.concatenate(
+            (old.keys_iy[kept], np.array([cell.key[1] for cell in added], dtype=np.int64))
+        )
+        lengths = np.concatenate(
+            (old.lengths[kept], np.array([len(cell) for cell in added], dtype=np.int64))
+        )
+        order = np.lexsort((keys_iy, keys_ix))
+        keys_ix, keys_iy, lengths, source = (
+            keys_ix[order], keys_iy[order], lengths[order], source[order]
+        )
+        if not source.size:
+            self._assemble(keys_ix, keys_iy, lengths, _empty_views())
+            return
+        # Runs of old cells that sit back to back in the old views.
+        from_old = source >= 0
+        joined = from_old[1:] & from_old[:-1] & (source[1:] == source[:-1] + 1)
+        firsts = np.flatnonzero(np.concatenate(([True], ~joined)))
+        lasts = np.append(firsts[1:], source.size) - 1
+        old_views = tuple(np.asarray(view) for view in _views_of(old))
+        pieces: list[list[np.ndarray]] = [[] for _ in old_views]
+        for first, last in zip(source[firsts].tolist(), source[lasts].tolist()):
+            if first >= 0:
+                lo = int(old.starts[first])
+                hi = int(old.starts[last] + old.lengths[last])
+                parts = tuple(view[lo:hi] for view in old_views)
+            else:
+                parts = _views_of(added[-1 - first])
+            for column, part in zip(pieces, parts):
+                column.append(part)
+        views = tuple(np.concatenate(column) for column in pieces)
+        self._assemble(keys_ix, keys_iy, lengths, views)
 
     def lookup_cell_ids(
         self, ix: np.ndarray, iy: np.ndarray, kernels=None
@@ -452,28 +568,7 @@ class Grid:
         :class:`~repro.kernels.KernelSet` (both backends are bit-identical);
         the wide-key dict-probe fallback always runs in plain Python.
         """
-        flat = self.flat()
-        ix = np.asarray(ix, dtype=np.int64)
-        iy = np.asarray(iy, dtype=np.int64)
-        out = np.full(ix.shape, -1, dtype=np.int64)
-        if not flat.cells:
-            return out
-        if not flat.supports_packing or np.any(np.abs(ix) > _PACK_LIMIT) or np.any(
-            np.abs(iy) > _PACK_LIMIT
-        ):
-            # Coordinates outside the 32-bit key range: per-point dict probes.
-            index_of = {cell.key: i for i, cell in enumerate(flat.cells)}
-            for pos in range(ix.size):
-                out.flat[pos] = index_of.get((int(ix.flat[pos]), int(iy.flat[pos])), -1)
-            return out
-        packed = _pack_keys(ix, iy)
-        if kernels is not None:
-            return kernels.packed_lookup(flat.packed_keys, flat.packed_cell_ids, packed)
-        slots = np.searchsorted(flat.packed_keys, packed)
-        slots = np.minimum(slots, flat.packed_keys.size - 1)
-        found = flat.packed_keys[slots] == packed
-        out[found] = flat.packed_cell_ids[slots[found]]
-        return out
+        return _find_cells(self.flat(), ix, iy, kernels)
 
     def _keys(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ``(ix, iy)`` cell key arrays of many locations."""
@@ -545,7 +640,7 @@ class Grid:
     # ------------------------------------------------------------------
     def occupancy(self) -> np.ndarray:
         """Array of per-cell point counts (used to characterise skew)."""
-        return np.array([len(cell) for cell in self._cells.values()], dtype=np.int64)
+        return self.flat().lengths.copy()
 
     def nbytes(self) -> int:
         """Approximate memory footprint of all cells' sorted views."""
@@ -562,5 +657,5 @@ class Grid:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Grid(source={self._source_name!r}, cell_size={self._cell_size}, "
-            f"points={self._size}, cells={self.num_cells})"
+            f"points={self.num_points}, cells={self.num_cells})"
         )

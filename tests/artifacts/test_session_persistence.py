@@ -13,6 +13,7 @@ from repro.api.session import SamplingSession
 from repro.datasets.partition import split_r_s
 from repro.datasets.synthetic import uniform_points
 from repro.errors import ArtifactError, ArtifactMismatchError
+from repro.geometry.point import PointSet
 from repro.manager import SessionManager
 
 SEED = 777
@@ -55,6 +56,36 @@ class TestSessionSaveLoad:
                 )
         finally:
             warm.close()
+
+    def test_eager_load_hashes_each_input_once_and_lazy_entries_recheck(
+        self, pointsets, tmp_path, monkeypatch
+    ):
+        r_points, s_points = pointsets
+        cold = SamplingSession(r_points, s_points, half_extent=120.0, eager=False)
+        cold.prepare("bbst")
+        cold.prepare("kds")
+        cold.save(tmp_path / "session")
+        cold.close()
+        hashed = []
+        fingerprint = PointSet.fingerprint
+        monkeypatch.setattr(
+            PointSet, "fingerprint", lambda self: hashed.append(self) or fingerprint(self)
+        )
+        warm = SamplingSession.load(tmp_path / "session", r_points, s_points, eager=True)
+        try:
+            assert warm.stats.warm_loads == 2
+            assert hashed == [r_points, s_points]
+        finally:
+            warm.close()
+        # A lazily loaded entry attaches on its first request, after the
+        # caller had the points: that attach checks them in full again.
+        hashed.clear()
+        lazy = SamplingSession.load(tmp_path / "session", r_points, s_points, eager=False)
+        try:
+            lazy.draw(10, seed=SEED, algorithm="bbst")
+            assert hashed == [r_points, s_points] * 2
+        finally:
+            lazy.close()
 
     def test_wrong_points_raise_mismatch(self, pointsets, tmp_path):
         r_points, s_points = pointsets

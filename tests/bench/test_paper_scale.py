@@ -42,25 +42,29 @@ def test_parse_row_reads_the_last_row_line(paper_scale):
         paper_scale.parse_row('{"seconds": 1.0}\n')
 
 
-def test_summary_compares_the_first_rows_and_checks_every_digest(paper_scale):
-    rows = {"parent": [_row(4_000.0, 40.0)], "change": [_row(2_600.0, 32.0)]}
+def test_summary_compares_the_two_rows(paper_scale):
+    rows = {"parent": _row(4_000.0, 40.0), "change": _row(2_600.0, 32.0)}
     summary = paper_scale.summary(rows)
     assert summary["peak_rss_ratio"] == pytest.approx(0.65)
     assert summary["seconds_ratio"] == pytest.approx(0.8)
     assert summary["same_pairs"] is True
-    rows["change"].append(_row(2_600.0, 31.0, iterations=1))
+    rows["change"] = _row(2_600.0, 31.0, iterations=1)
+    assert paper_scale.summary(rows)["same_pairs"] is False
+    rows["change"] = _row(2_600.0, 31.0, digest="d2")
     assert paper_scale.summary(rows)["same_pairs"] is False
 
 
 def test_summary_skips_failed_runs(paper_scale):
-    rows = {"parent": [{"error": "MemoryError", "returncode": 1}], "change": [_row(1.0, 1.0)]}
+    rows = {"parent": {"error": "MemoryError", "returncode": 1}, "change": _row(1.0, 1.0)}
     assert paper_scale.summary(rows) == {}
 
 
-def test_main_alternates_and_keeps_the_recorders_sets(paper_scale, tmp_path, monkeypatch):
+def test_main_runs_the_parent_first_and_keeps_the_recorders_sets(
+    paper_scale, tmp_path, monkeypatch
+):
     calls = []
 
-    def fake_run(checkout, n, t, seed, limit_mb):
+    def fake_run(checkout, n, limit_mb):
         calls.append(checkout.name)
         return _row(2_000.0 if checkout.name == "change" else 4_000.0, 10.0)
 
@@ -69,11 +73,12 @@ def test_main_alternates_and_keeps_the_recorders_sets(paper_scale, tmp_path, mon
     output.write_text(json.dumps({"sets": {"parent": {"rows": []}}}))
     code = paper_scale.main(
         ["--output", str(output), "--parent", str(tmp_path / "parent"),
-         "--checkout", str(tmp_path / "change"), "--rounds", "2", "--n", "1000"]
+         "--checkout", str(tmp_path / "change"), "--n", "1000"]
     )
     assert code == 0
-    assert calls == ["parent", "change", "change", "parent"]
+    assert calls == ["parent", "change"]
     document = json.loads(output.read_text())
     assert document["sets"] == {"parent": {"rows": []}}
     assert document["paper_scale"]["query"]["n"] == 1000
+    assert document["paper_scale"]["query"]["t"] == paper_scale.T
     assert document["paper_scale"]["summary"]["peak_rss_ratio"] == pytest.approx(0.5)

@@ -6,6 +6,7 @@ import pytest
 from repro.geometry.point import PointSet
 from repro.geometry.predicates import count_in_rect
 from repro.geometry.rect import window_around
+from repro.grid import grid as grid_module
 from repro.grid.cell import GridCell
 from repro.grid.grid import Grid, _is_xy_sorted
 from repro.grid.neighbors import NeighborKind
@@ -115,6 +116,78 @@ class TestOneCopyOfS:
         for cell in grid:
             for name in _VIEWS:
                 assert not np.shares_memory(getattr(cell, name), getattr(old, name)), name
+
+
+_FLAT_ARRAYS = ("keys_ix", "keys_iy", "starts", "lengths", *_VIEWS, "packed_keys",
+                "packed_cell_ids")
+
+
+class TestLazyCells:
+    """A cell is cut from the flat views when first asked for, and only once."""
+
+    def test_build_and_attach_make_no_cells(self, rng, monkeypatch):
+        made = []
+        real = grid_module.GridCell
+        monkeypatch.setattr(
+            grid_module, "GridCell", lambda *args, **kw: made.append(args[0]) or real(*args, **kw)
+        )
+        points = PointSet(xs=rng.random(2_000) * 3_000, ys=rng.random(2_000) * 3_000)
+        flat = Grid(points, cell_size=250.0).flat()
+        attached = Grid.from_cell_arrays(
+            250.0, flat.keys_ix, flat.keys_iy, flat.lengths, *(getattr(flat, n) for n in _VIEWS)
+        )
+        assert attached.num_cells == flat.lengths.size > 1
+        assert made == []
+        key = (int(flat.keys_ix[3]), int(flat.keys_iy[3]))
+        cell = attached.get(key)
+        assert made == [key]
+        assert attached.get(key) is cell is attached.flat().cells[3]
+        assert attached.flat().cells[-len(flat.cells) + 3] is cell
+        assert made == [key]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spliced_views_equal_a_fresh_build(self, seed):
+        rng = np.random.default_rng(seed)
+        size = 250.0
+        xs, ys = rng.random(1_500) * 2_000, rng.random(1_500) * 2_000
+        ids = np.arange(1_500)
+        grid = Grid(PointSet(xs=xs, ys=ys, ids=ids), cell_size=size)
+        for step in range(8):
+            keys = np.floor(np.column_stack((xs, ys)) / size).astype(np.int64)
+            present = sorted(set(map(tuple, keys.tolist())))
+            # Change some cells (always the first and the last), drop points
+            # from them, and add points to a few old and new cells.
+            changed = set()
+            if present:
+                changed = {present[0], present[-1]}
+                changed.update(present[i] for i in rng.choice(len(present), 4).tolist())
+            in_changed = np.array([tuple(k) in changed for k in keys.tolist()], dtype=bool)
+            keep = ~in_changed | (rng.random(xs.size) < (0.0 if step == 6 else 0.6))
+            xs, ys, ids = xs[keep], ys[keep], ids[keep]
+            new_xs = np.concatenate((rng.random(5) * 2_000, 3_000 + rng.random(3) * 400 * step))
+            new_ys = np.concatenate((rng.random(5) * 2_000, rng.random(3) * 2_000))
+            new_ids = 10_000 * (step + 1) + np.arange(new_xs.size)
+            if step == 5:  # every point leaves: the grid empties
+                new_xs, new_ys, new_ids = new_xs[:0], new_ys[:0], new_ids[:0]
+                xs, ys, ids = xs[:0], ys[:0], ids[:0]
+                changed = set(present)
+            xs, ys = np.concatenate((xs, new_xs)), np.concatenate((ys, new_ys))
+            ids = np.concatenate((ids, new_ids))
+            changed.update(grid.key_for(x, y) for x, y in zip(new_xs, new_ys))
+            keys = np.floor(np.column_stack((xs, ys)) / size).astype(np.int64)
+            replacements = {}
+            for key in changed:
+                mine = (keys[:, 0] == key[0]) & (keys[:, 1] == key[1])
+                replacements[key] = (
+                    grid.build_cell(key, xs[mine], ys[mine], ids[mine]) if mine.any() else None
+                )
+            grid.apply_cell_updates(replacements)
+            fresh = Grid(PointSet(xs=xs, ys=ys, ids=ids), cell_size=size).flat()
+            flat = grid.flat()
+            for name in _FLAT_ARRAYS:
+                np.testing.assert_array_equal(getattr(flat, name), getattr(fresh, name), name)
+            assert grid.num_points == xs.size
+            assert [cell.key for cell in grid] == [cell.key for cell in fresh.cells]
 
 
 class TestLookup:

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bbst.join_index import BBSTJoinIndex
-from repro.core.batching import MAX_BLOCK_ITEMS
 from repro.core.bbst_sampler import BBSTSampler
 from repro.core.config import JoinSpec
 from repro.core.kds_rejection import KDSRejectionSampler
@@ -278,8 +277,8 @@ class TestCornerQualifying:
         index = BBSTJoinIndex(points, half_extent=100.0)
         assert index.grid.num_cells == 1
         cell_ids = np.zeros(2_000, dtype=np.int64)
-        # 3,125 buckets: more than one table of at most MAX_BLOCK_ITEMS entries.
-        assert (index.bucket_arrays().counts[0] + 1) ** 2 > MAX_BLOCK_ITEMS
+        # 3,125 buckets: more than one table of at most _TABLE_RUN buckets.
+        assert index.bucket_arrays().counts[0] > numpy_backend._TABLE_RUN
         assert _tabled(index, cell_ids)[0]
         _check_corner_counts(index, cell_ids, _corner_queries(index, rng, cell_ids, 0.1))
 
