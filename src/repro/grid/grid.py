@@ -22,6 +22,7 @@ import operator
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Any
 
 import numpy as np
 
@@ -74,7 +75,8 @@ class _CellSlices(Sequence[GridCell]):
     def __len__(self) -> int:
         return len(self._made)
 
-    def __getitem__(self, i):  # type: ignore[override]
+    def __getitem__(self, i: Any) -> Any:
+        """Cell ``i`` (any integer index), or a list of the cells of a slice."""
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self._made)))]
         i = operator.index(i)
@@ -188,35 +190,7 @@ def _views_of(source: GridFlat | GridCell) -> tuple[np.ndarray, ...]:
 
 def _empty_views() -> tuple[np.ndarray, ...]:
     """The six sorted views of a grid with no points."""
-    coords = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
-    return coords + tuple(view.copy() for view in coords)
-
-
-def _find_cells(flat: GridFlat, ix, iy, kernels=None) -> np.ndarray:
-    """Flat cell index per ``(ix, iy)`` key of ``flat``, or ``-1`` for empty cells."""
-    ix = np.asarray(ix, dtype=np.int64)
-    iy = np.asarray(iy, dtype=np.int64)
-    out = np.full(ix.shape, -1, dtype=np.int64)
-    if not flat.lengths.size:
-        return out
-    if not flat.supports_packing or np.any(np.abs(ix) > _PACK_LIMIT) or np.any(
-        np.abs(iy) > _PACK_LIMIT
-    ):
-        # Coordinates outside the 32-bit key range: per-point dict probes.
-        index_of = dict(
-            zip(zip(flat.keys_ix.tolist(), flat.keys_iy.tolist()), range(flat.lengths.size))
-        )
-        for pos in range(ix.size):
-            out.flat[pos] = index_of.get((int(ix.flat[pos]), int(iy.flat[pos])), -1)
-        return out
-    packed = _pack_keys(ix, iy)
-    if kernels is not None:
-        return kernels.packed_lookup(flat.packed_keys, flat.packed_cell_ids, packed)
-    slots = np.searchsorted(flat.packed_keys, packed)
-    slots = np.minimum(slots, flat.packed_keys.size - 1)
-    found = flat.packed_keys[slots] == packed
-    out[found] = flat.packed_cell_ids[slots[found]]
-    return out
+    return (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)) * 2
 
 
 class Grid:
@@ -510,15 +484,11 @@ class Grid:
         cells.  The old buffers are then freed with the old view.
         """
         old = self._flat
+        index = self._key_index()
         changes = sorted(self._pending.items())
         self._pending = {}
-        at = _find_cells(
-            old,
-            np.array([key[0] for key, _cell in changes], dtype=np.int64),
-            np.array([key[1] for key, _cell in changes], dtype=np.int64),
-        )
         kept = np.ones(old.lengths.size, dtype=bool)
-        kept[at[at >= 0]] = False
+        kept[[index[key] for key, _cell in changes if key in index]] = False
         added = [cell for _key, cell in changes if cell is not None]
         # source >= 0: an old cell's flat index; source < 0: added[-1 - source].
         source = np.concatenate(
@@ -568,7 +538,28 @@ class Grid:
         :class:`~repro.kernels.KernelSet` (both backends are bit-identical);
         the wide-key dict-probe fallback always runs in plain Python.
         """
-        return _find_cells(self.flat(), ix, iy, kernels)
+        flat = self.flat()
+        ix = np.asarray(ix, dtype=np.int64)
+        iy = np.asarray(iy, dtype=np.int64)
+        out = np.full(ix.shape, -1, dtype=np.int64)
+        if not flat.lengths.size:
+            return out
+        if not flat.supports_packing or np.any(np.abs(ix) > _PACK_LIMIT) or np.any(
+            np.abs(iy) > _PACK_LIMIT
+        ):
+            # Coordinates outside the 32-bit key range: per-point dict probes.
+            index_of = self._key_index()
+            for pos in range(ix.size):
+                out.flat[pos] = index_of.get((int(ix.flat[pos]), int(iy.flat[pos])), -1)
+            return out
+        packed = _pack_keys(ix, iy)
+        if kernels is not None:
+            return kernels.packed_lookup(flat.packed_keys, flat.packed_cell_ids, packed)
+        slots = np.searchsorted(flat.packed_keys, packed)
+        slots = np.minimum(slots, flat.packed_keys.size - 1)
+        found = flat.packed_keys[slots] == packed
+        out[found] = flat.packed_cell_ids[slots[found]]
+        return out
 
     def _keys(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ``(ix, iy)`` cell key arrays of many locations."""
