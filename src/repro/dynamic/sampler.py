@@ -515,6 +515,7 @@ class DynamicSampler(JoinSampler):
                 replacements[key] = grid.build_cell(key, xs, ys, ids)
                 if cell is None:
                     structure_changed = True
+        old_flat = grid.flat()
         grid.apply_cell_updates(replacements)
         rebuilt_all = index.apply_cell_updates(  # type: ignore[attr-defined]
             replacements,
@@ -524,13 +525,19 @@ class DynamicSampler(JoinSampler):
 
         r_xs = store_r.xs
         r_ys = store_r.ys
-        if structure_changed:
-            # Cells were added or removed: every flat cell index may have
-            # shifted, so the whole (n, 9) id matrix is re-resolved (one
-            # lookup per distinct cell of R; the bounds stay put).
-            state.cell_ids = grid.neighbor_cell_ids(r_xs, r_ys).astype(np.int32)
-
         rows = self._affected_rows(affected_keys, rebuilt_all)
+        if structure_changed:
+            # Cells were added or removed, so flat cell indices past each of
+            # them shifted: map every old index to its cell's new one (-1 for
+            # a removed cell; the appended -1 keeps empty entries empty).
+            # Only a row whose block holds an added cell can gain an entry,
+            # and an added cell's key is affected, so re-resolving the
+            # affected rows completes the matrix.
+            moved = grid.lookup_cell_ids(old_flat.keys_ix, old_flat.keys_iy)
+            remap = np.append(moved, -1).astype(np.int32)
+            state.cell_ids = remap[state.cell_ids]
+            if rows.size:
+                state.cell_ids[rows] = grid.neighbor_cell_ids(r_xs[rows], r_ys[rows])
         if rows.size:
             old_weights = state.mu[rows]
             new_bounds = index.batch_bounds(

@@ -21,6 +21,21 @@ from repro.errors import InvalidSpecError
 __all__ = ["Point", "PointSet"]
 
 
+def _lexsort_order(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
+    """``np.lexsort((secondary, primary))``, through one plain argsort when it can.
+
+    Distinct primary keys have exactly one sorted order, which is the
+    lexsort's, so when the argsorted keys strictly increase that order is
+    kept.  Any tie (``-0.0`` beside ``0.0`` included) or NaN falls back to the
+    two-key lexsort.
+    """
+    order = np.argsort(primary)
+    keys = primary[order]
+    if np.all(keys[1:] > keys[:-1]):
+        return order
+    return np.lexsort((secondary, primary))
+
+
 def _digest_columns(size: int, *columns: np.ndarray) -> int:
     """Stable 128-bit content digest of parallel array columns.
 
@@ -210,13 +225,11 @@ class PointSet:
 
     def sorted_by_x(self) -> "PointSet":
         """Return a copy sorted by x (ties broken by y), as the paper pre-sorts S."""
-        order = np.lexsort((self._ys, self._xs))
-        return self.take(order)
+        return self.take(_lexsort_order(self._xs, self._ys))
 
     def sorted_by_y(self) -> "PointSet":
         """Return a copy sorted by y (ties broken by x)."""
-        order = np.lexsort((self._xs, self._ys))
-        return self.take(order)
+        return self.take(_lexsort_order(self._ys, self._xs))
 
     def sample(self, k: int, rng: np.random.Generator) -> "PointSet":
         """Uniform random subset of size ``k`` without replacement."""

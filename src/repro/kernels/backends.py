@@ -165,15 +165,19 @@ def runtime_meta() -> dict:
 
     Captures what a baseline comparison across machines needs to interpret
     the numbers: numpy/numba versions (or numba's absence), the backend the
-    run would resolve to by default, and the thread-count environment.
+    run would resolve to by default, and the thread-count environment,
+    including the threads the grid samplers' count phase runs on.
     """
     import numpy as np
+
+    from repro.core.grid_sampler_base import _count_workers
 
     return {
         "kernel_backend_default": resolve_backend(None),
         "numpy_version": np.__version__,
         "numba_version": numba_version() or "absent",
         "cpus": os.cpu_count(),
+        "count_workers": _count_workers(),
         "numba_num_threads": os.environ.get("NUMBA_NUM_THREADS") or None,
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS") or None,
     }

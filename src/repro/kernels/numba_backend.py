@@ -24,7 +24,8 @@ from numba import njit
 
 __all__ = ["build_kernel_set", "warmup"]
 
-_jit = njit(cache=True, fastmath=False)
+#: ``nogil`` lets the count's threads run compiled kernels side by side.
+_jit = njit(cache=True, fastmath=False, nogil=True)
 
 
 @_jit

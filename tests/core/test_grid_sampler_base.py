@@ -1,8 +1,15 @@
 """White-box tests of the Algorithm 1 skeleton shared by the grid samplers."""
 
+import contextvars
+import itertools
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.bbst.join_index import BBSTJoinIndex
 from repro.core.bbst_sampler import BBSTSampler
 from repro.core.cell_kdtree_sampler import CellKDTreeSampler
 from repro.core.config import JoinSpec
@@ -42,42 +49,174 @@ class TestCountOrder:
         assert shuffled.runtime.sum_mu == plain.runtime.sum_mu
 
 
+def _check_small_chunks(sampler_class, spec, monkeypatch, workers=None):
+    """Chunks of whole R cells give one chunk's state and draws.
+
+    The chunks hold cells larger than a chunk and several cells per chunk;
+    ``workers`` pins the count's thread budget (``None`` keeps the CPUs').
+    """
+    whole = sampler_class(spec)
+    whole_draws = whole.sample(300, seed=4)
+    seen: list[np.ndarray] = []
+    original = Grid.neighbor_cell_ids
+
+    def recording(grid, xs, ys, kernels=None):
+        seen.append(np.stack(grid._keys(xs, ys), axis=1))
+        return original(grid, xs, ys, kernels=kernels)
+
+    if workers is not None:
+        monkeypatch.setattr(grid_sampler_base, "_count_workers", lambda: workers)
+    monkeypatch.setattr(grid_sampler_base, "_COUNT_CHUNK_ROWS", 7)
+    monkeypatch.setattr(Grid, "neighbor_cell_ids", recording)
+    chunked = sampler_class(spec)
+    chunked.prepare()
+    monkeypatch.setattr(Grid, "neighbor_cell_ids", original)
+    chunked_draws = chunked.sample(300, seed=4)
+
+    sizes = [keys.shape[0] for keys in seen]
+    assert sum(sizes) == spec.n
+    assert max(sizes) > 7 and len(sizes) > 10
+    cells = [{tuple(key) for key in keys.tolist()} for keys in seen]
+    assert any(len(chunk) > 1 for chunk in cells)
+    assert sum(len(chunk) for chunk in cells) == len(set().union(*cells))
+    assert all(len(chunk) == 1 for chunk, size in zip(cells, sizes) if size > 7)
+
+    np.testing.assert_array_equal(chunked.runtime.bounds, whole.runtime.bounds)
+    np.testing.assert_array_equal(chunked.cell_ids, whole.cell_ids)
+    assert chunked.runtime.bounds.dtype == chunked.cell_ids.dtype == np.int32
+    assert chunked.runtime.sum_mu == whole.runtime.sum_mu
+    np.testing.assert_array_equal(chunked_draws.index_pairs(), whole_draws.index_pairs())
+    assert chunked_draws.iterations == whole_draws.iterations
+
+
 class TestChunkedCount:
     @pytest.mark.parametrize("sampler_class", [BBSTSampler, CellKDTreeSampler])
     def test_small_chunks_give_the_same_state_and_draws(
         self, sampler_class, medium_spec, monkeypatch
     ):
-        """Chunks of whole R cells: cells larger than a chunk, several cells per chunk."""
-        whole = sampler_class(medium_spec)
-        whole_draws = whole.sample(300, seed=4)
-        seen: list[np.ndarray] = []
-        original = Grid.neighbor_cell_ids
+        _check_small_chunks(sampler_class, medium_spec, monkeypatch)
 
-        def recording(grid, xs, ys, kernels=None):
-            seen.append(np.stack(grid._keys(xs, ys), axis=1))
-            return original(grid, xs, ys, kernels=kernels)
+    @pytest.mark.parametrize("workers", [3, 1])
+    @pytest.mark.parametrize("sampler_class", [BBSTSampler, CellKDTreeSampler])
+    def test_any_worker_count_gives_the_same_state_and_draws(
+        self, sampler_class, workers, medium_spec, monkeypatch
+    ):
+        _check_small_chunks(sampler_class, medium_spec, monkeypatch, workers)
 
-        monkeypatch.setattr(grid_sampler_base, "_COUNT_CHUNK_ROWS", 7)
-        monkeypatch.setattr(Grid, "neighbor_cell_ids", recording)
-        chunked = sampler_class(medium_spec)
-        chunked.prepare()
-        monkeypatch.setattr(Grid, "neighbor_cell_ids", original)
-        chunked_draws = chunked.sample(300, seed=4)
 
-        sizes = [keys.shape[0] for keys in seen]
-        assert sum(sizes) == medium_spec.n
-        assert max(sizes) > 7 and len(sizes) > 10
-        cells = [{tuple(key) for key in keys.tolist()} for keys in seen]
-        assert any(len(chunk) > 1 for chunk in cells)
-        assert sum(len(chunk) for chunk in cells) == len(set().union(*cells))
-        assert all(len(chunk) == 1 for chunk, size in zip(cells, sizes) if size > 7)
+class _ChunkFailed(Exception):
+    pass
 
-        np.testing.assert_array_equal(chunked.runtime.bounds, whole.runtime.bounds)
-        np.testing.assert_array_equal(chunked.cell_ids, whole.cell_ids)
-        assert chunked.runtime.bounds.dtype == chunked.cell_ids.dtype == np.int32
-        assert chunked.runtime.sum_mu == whole.runtime.sum_mu
-        np.testing.assert_array_equal(chunked_draws.index_pairs(), whole_draws.index_pairs())
-        assert chunked_draws.iterations == whole_draws.iterations
+
+class TestThreadedCount:
+    """The count's chunks run on the calling thread plus a per-call pool."""
+
+    @pytest.fixture
+    def threaded(self, monkeypatch):
+        """Chunks of at most 7 rows on up to ``workers`` threads."""
+
+        def pin(workers: int) -> None:
+            monkeypatch.setattr(grid_sampler_base, "_count_workers", lambda: workers)
+            monkeypatch.setattr(grid_sampler_base, "_COUNT_CHUNK_ROWS", 7)
+
+        return pin
+
+    def test_a_failing_chunk_raises_and_the_next_prepare_succeeds(
+        self, medium_spec, threaded, monkeypatch
+    ):
+        reference = BBSTSampler(medium_spec)
+        reference.prepare()
+        threaded(3)
+        calls = itertools.count(1)
+        original = BBSTJoinIndex.batch_bounds
+
+        def third_call_fails(index, *args, **kwargs):
+            if next(calls) == 3:
+                raise _ChunkFailed("chunk 3")
+            return original(index, *args, **kwargs)
+
+        monkeypatch.setattr(BBSTJoinIndex, "batch_bounds", third_call_fails)
+        sampler = BBSTSampler(medium_spec)
+        with pytest.raises(_ChunkFailed, match="chunk 3"):
+            sampler.prepare()
+        # Every thread stops before its next chunk: each of the two helpers
+        # may be inside a chunk when chunk 3 fails and take one more before
+        # it sees the error.
+        assert next(calls) - 1 <= 3 + 2 + 2
+        assert not sampler.is_prepared
+
+        monkeypatch.setattr(BBSTJoinIndex, "batch_bounds", original)
+        sampler.prepare()
+        np.testing.assert_array_equal(sampler.runtime.bounds, reference.runtime.bounds)
+        np.testing.assert_array_equal(sampler.cell_ids, reference.cell_ids)
+
+    def test_more_threads_than_cores_lose_no_chunk(self, medium_spec, threaded):
+        """Fast thread switching over many small chunks: every row is written once."""
+        reference = BBSTSampler(medium_spec)
+        reference.prepare()
+        threaded(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                sampler = BBSTSampler(medium_spec)
+                sampler.prepare()
+                np.testing.assert_array_equal(sampler.runtime.bounds, reference.runtime.bounds)
+                np.testing.assert_array_equal(sampler.cell_ids, reference.cell_ids)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_a_forked_child_counts_after_a_threaded_count(self, medium_spec, threaded):
+        threaded(2)
+        parent = BBSTSampler(medium_spec)
+        parent.prepare()
+        expected = parent.runtime.sum_mu
+
+        def count_in_child() -> None:
+            child = BBSTSampler(medium_spec)
+            child.prepare()
+            assert child.runtime.sum_mu == expected
+
+        process = multiprocessing.get_context("fork").Process(target=count_in_child)
+        process.start()
+        process.join(timeout=60)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the count in the forked child did not finish")
+        assert process.exitcode == 0
+
+    def test_the_callers_context_reaches_every_thread(
+        self, medium_spec, threaded, monkeypatch
+    ):
+        threaded(2)
+        request = contextvars.ContextVar("request", default=None)
+        seen: dict[int, list] = {}
+        lock = threading.Lock()
+        # The first chunk of each thread waits for the other's, so both
+        # threads count at least one chunk.
+        both_started = threading.Barrier(2, timeout=30)
+        original = BBSTJoinIndex.batch_bounds
+
+        def recording(index, *args, **kwargs):
+            with lock:
+                values = seen.setdefault(threading.get_ident(), [])
+                values.append(request.get())
+            if len(values) == 1:
+                both_started.wait()
+            return original(index, *args, **kwargs)
+
+        monkeypatch.setattr(BBSTJoinIndex, "batch_bounds", recording)
+        token = request.set("request-7")
+        try:
+            BBSTSampler(medium_spec).prepare()
+        finally:
+            request.reset(token)
+        assert len(seen) == 2
+        assert all(value == "request-7" for values in seen.values() for value in values)
 
 
 class TestSkeletonBehaviour:

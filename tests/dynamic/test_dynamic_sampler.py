@@ -10,6 +10,7 @@ from repro.datasets.partition import split_r_s
 from repro.datasets.synthetic import uniform_points, zipf_cluster_points
 from repro.dynamic import DynamicSampler
 from repro.geometry.point import PointSet
+from repro.grid.grid import Grid
 
 HALF = 300.0
 
@@ -145,6 +146,45 @@ class TestMaintainedState:
         fresh = create_sampler("bbst", _final_spec(dyn))
         fresh.prepare()
         assert np.array_equal(dyn.inner.runtime.bounds, fresh.runtime.bounds)
+
+    def test_cell_ids_follow_an_added_and_a_removed_cell(self, monkeypatch):
+        """Old flat indices are remapped; only the affected rows are re-resolved."""
+        spec = _spec(total=2_000, half=100.0)
+        dyn = DynamicSampler(spec)
+        dyn.prepare()
+        grid = dyn.inner.index.grid
+        # An R point whose own cell holds no S point, and the first S cell.
+        r_xs, r_ys = spec.r_points.xs, spec.r_points.ys
+        empty = grid.lookup_cell_ids(*grid._keys(r_xs, r_ys)) < 0
+        target = int(np.flatnonzero(empty)[0])
+        removed = grid.flat().cells[0]
+        cells = grid.num_cells
+        seen: list[int] = []
+        original = Grid.neighbor_cell_ids
+
+        def recording(grid, xs, ys, kernels=None):
+            seen.append(len(xs))
+            return original(grid, xs, ys, kernels=kernels)
+
+        monkeypatch.setattr(Grid, "neighbor_cell_ids", recording)
+        report = dyn.update(
+            "s",
+            insert=(r_xs[target : target + 1], r_ys[target : target + 1]),
+            delete=removed.ids_by_x,
+        )
+        monkeypatch.setattr(Grid, "neighbor_cell_ids", original)
+        assert not report.structure_rebuilt
+        assert grid.num_cells == cells
+        assert grid.get(removed.key) is None
+        assert seen == [report.refreshed_rows]
+        assert 0 < report.refreshed_rows < len(dyn.r_points) / 4
+        dyn.flush()
+        fresh = create_sampler("bbst", _final_spec(dyn))
+        fresh.prepare()
+        assert dyn.inner.cell_ids.dtype == np.int32
+        assert np.array_equal(dyn.inner.cell_ids, fresh.cell_ids)
+        assert np.array_equal(dyn.inner.runtime.bounds, fresh.runtime.bounds)
+        assert dyn.inner.cell_ids[target, 0] >= 0
 
     def test_affected_rows_are_a_small_subset_for_local_updates(self):
         spec = _spec(total=2_000, half=100.0)

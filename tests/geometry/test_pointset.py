@@ -112,6 +112,38 @@ class TestTransformations:
         ps = PointSet(xs=[0.0, 0.0, 0.0], ys=[3.0, 1.0, 2.0])
         assert list(ps.sorted_by_y().ys) == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([], []),
+            ([4.0], [1.0]),
+            ([3.0, 1.0, 3.0, 2.0, 1.0], [0.0, 5.0, -1.0, 2.0, 4.0]),  # tied x
+            ([2.0, 1.0, 2.0, 2.0], [7.0, 0.0, 7.0, 7.0]),  # exact duplicates
+            ([1.0, np.nan, 0.5, np.nan], [0.0, 2.0, 1.0, 1.0]),
+            ([0.0, -0.0, 1.0, -0.0], [3.0, 2.0, 0.0, 1.0]),
+            ([np.inf, -np.inf, 0.0], [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_sorting_is_the_two_key_lexsort(self, xs, ys):
+        """Distinct keys take one argsort; ties, NaN and signed zeros the lexsort."""
+        rng = np.random.default_rng(len(xs))
+        ids = rng.permutation(len(xs))
+        ps = PointSet(xs=xs, ys=ys, ids=ids)
+        by_x = ps.sorted_by_x()
+        by_y = ps.sorted_by_y()
+        np.testing.assert_array_equal(by_x.ids, ids[np.lexsort((ps.ys, ps.xs))])
+        np.testing.assert_array_equal(by_y.ids, ids[np.lexsort((ps.xs, ps.ys))])
+
+    def test_sorting_distinct_keys_matches_the_lexsort(self):
+        rng = np.random.default_rng(12)
+        ps = PointSet(xs=rng.uniform(0, 1, 5_000), ys=rng.uniform(0, 1, 5_000))
+        np.testing.assert_array_equal(
+            ps.sorted_by_x().ids, ps.ids[np.lexsort((ps.ys, ps.xs))]
+        )
+        np.testing.assert_array_equal(
+            ps.sorted_by_y().ids, ps.ids[np.lexsort((ps.xs, ps.ys))]
+        )
+
     def test_sorting_preserves_ids(self):
         ps = PointSet(xs=[3.0, 1.0], ys=[0.0, 0.0], ids=[100, 200])
         assert list(ps.sorted_by_x().ids) == [200, 100]

@@ -15,6 +15,7 @@ import pytest
 
 from repro.api.planner import plan_algorithm
 from repro.api.session import SamplingSession
+from repro.core import grid_sampler_base
 from repro.core.bbst_sampler import BBSTSampler
 from repro.core.registry import create_sampler
 from repro.errors import KernelBackendError
@@ -111,18 +112,22 @@ class TestIntrospection:
         monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
         assert kernel_info()["env_override"] == "numpy"
 
-    def test_runtime_meta_keys(self):
+    def test_runtime_meta_keys(self, monkeypatch):
         meta = runtime_meta()
         assert set(meta) >= {
             "kernel_backend_default",
             "numpy_version",
             "numba_version",
             "cpus",
+            "count_workers",
         }
         if numba_available():
             assert meta["numba_version"] == numba_version()
         else:
             assert meta["numba_version"] == "absent"
+        assert meta["count_workers"] == grid_sampler_base._count_workers() >= 1
+        monkeypatch.setattr(grid_sampler_base, "_count_workers", lambda: 3)
+        assert runtime_meta()["count_workers"] == 3
 
 
 class TestSamplerIntegration:
