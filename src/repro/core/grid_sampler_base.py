@@ -82,9 +82,9 @@ __all__ = ["JoinCellIndex", "PreparedGridState", "GridJoinSamplerBase", "row_tot
 #: temporaries to a few ``(chunk, 9)`` blocks per counting thread instead of
 #: ``(n, 9)`` copies.  Each helper thread's malloc arena keeps its chunk
 #: temporaries after they are freed, so small chunks keep a threaded count's
-#: peak RSS near a serial one: four cold NYC-proxy queries at n = m = 10^6
-#: on two threads peaked at 357 MB with 2^15 rows and 369 MB with 2^16,
-#: against 348 MB serially (2-core VM).
+#: peak RSS near a serial one: cold NYC-proxy queries at n = m = 10^6 peaked
+#: at 500 MB counting on two threads against 494 MB on one (medians of ten
+#: runs, 2-core VM).
 _COUNT_CHUNK_ROWS = 1 << 15
 
 
